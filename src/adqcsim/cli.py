@@ -66,7 +66,8 @@ def _fmt(x) -> str:
 
 
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    # RFC 8259 has no NaN or Infinity: a non-finite value is a ValueError
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _complex_matrix(m: np.ndarray) -> list:
@@ -194,6 +195,8 @@ def _cmd_kraus(args: argparse.Namespace) -> int:
 
 
 def _cmd_walk(args: argparse.Namespace) -> int:
+    if args.bins < 1:
+        raise ValueError("bins must be >= 1")
     make = {"one-param": one_parameter_config, "two-param": two_parameter_config}[
         args.preset
     ]
@@ -230,10 +233,12 @@ def _cmd_walk(args: argparse.Namespace) -> int:
     hist = None
     if steps:
         hist = histogram(steps, args.bins)
-        rate = fit_exponential(steps)
+        mean_steps = float(np.mean(steps))
+        # every walk hit at step 0: no exponential to fit
+        rate = fit_exponential(steps) if mean_steps > 0 else None
         summary.update(
             {
-                "mean_steps": float(np.mean(steps)),
+                "mean_steps": mean_steps,
                 "lambda": rate,
                 "histogram": {
                     "bin_edges": [float(e) for e in hist.bin_edges],
@@ -253,7 +258,7 @@ def _cmd_walk(args: argparse.Namespace) -> int:
         p = out.path("svg")
         _write_text(
             p,
-            histogram_svg(hist, summary.get("lambda"), title=f"walk {args.preset}"),
+            histogram_svg(hist, rate, title=f"walk {args.preset}"),
         )
         out.record(p)
     out.write_manifest()
@@ -316,6 +321,8 @@ def _cmd_egg_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_egg_rus(args: argparse.Namespace) -> int:
+    if args.trials < 1:
+        raise ValueError("trials must be >= 1")
     beta = args.beta if args.beta is not None else find_balanced_beta(args.alpha)
     trials = []
     for t in range(args.trials):

@@ -426,6 +426,8 @@ def phi_scan(
     pi crossing is visible.
     """
     lo, hi = beta_range if beta_range is not None else (0.0, alpha)
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     if not 0.0 <= lo <= hi <= alpha + 1e-15:
         raise ValueError("beta range must satisfy 0 <= lo <= hi <= alpha")
     rows = []
@@ -530,6 +532,8 @@ def run_rus(
     differ; equal outcomes cancel to the identity and the register is
     unchanged, so failed attempts need no correction.
     """
+    if max_attempts < 1:
+        raise ValueError("max_attempts must be >= 1")
     if abs(delta_phi_raw(alpha, beta_star) - np.pi) > 1e-6:
         raise ValueError("beta_star does not satisfy the balanced condition")
     p_plus, _ = outcome_probabilities(alpha, beta_star)

@@ -14,6 +14,7 @@ equality testing decidable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -106,6 +107,8 @@ def normalize_params(
     symmetry moves that were applied.  Idempotent on canonical input.
     """
     vals = [float(ax), float(ay), float(az)]
+    if not all(map(math.isfinite, vals)):
+        raise ValueError("interaction parameters must be finite")
     moves: list[str] = []
     names = "xyz"
 

@@ -127,7 +127,8 @@ def as_state(v: np.ndarray, tol: float = STATE_TOL) -> np.ndarray:
     n = v.size
     if n == 0 or n & (n - 1):
         raise ValueError(f"ket dimension {n} is not a power of two")
-    if abs(np.linalg.norm(v) - 1.0) > tol:
+    # written so that a NaN norm fails too
+    if not abs(np.linalg.norm(v) - 1.0) <= tol:
         raise ValueError("ket is not normalised")
     return v
 

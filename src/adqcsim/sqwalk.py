@@ -6,6 +6,11 @@ unitary with the phase-invariant trace distance; the walk stops when it
 gets within epsilon.  Ensembles of such walks have approximately
 geometric/exponential step-count distributions, summarized here with
 histograms, an exponential fit, and a log-linearity diagnostic.
+
+The walk kernel takes the prefix products of a whole block of draws at
+once (a blocked inclusive scan, after Blelloch, "Prefix sums and their
+applications", 1990) and tests all of them against the threshold; see
+:func:`run_walk` for its RNG contract.
 """
 
 from __future__ import annotations
@@ -30,6 +35,11 @@ from .seeding import derive_rng
 DEFAULT_EPSILON = 0.05
 DEFAULT_MAX_STEPS = 1_000_000
 _RAND_CHUNK = 4096
+_FIRST_BLOCK = 64
+_WORD = 8
+_BIT_SHIFTS = np.arange(_WORD)
+# the word table holds the words of length 1..8 in turn; length l starts at 2^l - 2
+_WORD_OFFSETS = 2 ** np.arange(1, _WORD + 1) - 2
 
 
 @dataclass(frozen=True)
@@ -69,56 +79,115 @@ def run_walk(cfg: WalkConfig, rng: np.random.Generator) -> WalkResult:
 
     The distance is checked before the first multiplication, so a target
     within epsilon of the identity reports steps = 0.
+
+    RNG contract: the walk draws ``rng.random(4096)`` chunks, the next one
+    only once the walk has used every draw of the last, and step k applies
+    ``u0`` when the k-th draw is below ``p0``.  So step counts and hits are
+    those of the step-by-step product V_k = g_k V_(k-1), unless a distance
+    lies within rounding error of epsilon.  ``final_distance`` comes from a
+    differently ordered product and may differ from it in the last digits.
+
+    Gates and target are reduced to SU(2) pairs (a, b), the matrices
+    [[a, b], [-conj(b), conj(a)]]: dividing out sqrt(det) changes only a
+    global phase, which |Tr(T^dag V)| ignores.  Draws are taken in blocks
+    of 64 doubling to 4096, so a short walk pays for few of them.  Each
+    block looks up the products of its 8-draw words in a table, scans the
+    word totals, and tests every partial product against the threshold at
+    once.
     """
     cfg.validated()
-    (a00, a01), (a10, a11) = np.asarray(cfg.u0, dtype=complex)
-    (b00, b01), (b10, b11) = np.asarray(cfg.u1, dtype=complex)
-    t = np.asarray(cfg.target, dtype=complex)
-    tc00, tc01, tc10, tc11 = t[0, 0].conjugate(), t[0, 1].conjugate(), t[1, 0].conjugate(), t[1, 1].conjugate()
+    g0, g1 = _su2(cfg.u0), _su2(cfg.u1)
+    ta, tb = _word_table(g0, g1)
+    c, d = _su2(cfg.target)
+    # half-traces: trace_distance(V, T) <= eps  iff  |Re Tr(T^dag V)| / 2 >= 1 - eps^2
+    thresh = 1.0 - cfg.epsilon * cfg.epsilon
+    # carry: product of every gate applied before the current block
+    ca, cb = 1 + 0j, 0j
+    h = c.real  # the half-trace at V = I
+    if abs(h) >= thresh:
+        return WalkResult(0, True, _distance(h))
 
-    # trace_distance(V, T) <= eps  iff  |Tr(T^dag V)| >= 2 - 2 eps^2
-    thresh = 2.0 - 2.0 * cfg.epsilon * cfg.epsilon
-    p0 = cfg.p0
-
-    v00, v01, v10, v11 = 1 + 0j, 0j, 0j, 1 + 0j
-    tr = tc00 * v00 + tc10 * v01 + tc01 * v10 + tc11 * v11
-    if abs(tr) >= thresh:
-        return WalkResult(0, True, _distance_from_trace(abs(tr)))
-
-    buf = rng.random(_RAND_CHUNK)
-    bi = 0
-    nbuf = buf.size
-    for k in range(1, cfg.max_steps + 1):
-        if bi == nbuf:
+    done = 0
+    while done < cfg.max_steps:
+        pos = done % _RAND_CHUNK
+        if pos == 0:
             buf = rng.random(_RAND_CHUNK)
-            bi = 0
-        if buf[bi] < p0:
-            w00 = a00 * v00 + a01 * v10
-            w01 = a00 * v01 + a01 * v11
-            w10 = a10 * v00 + a11 * v10
-            w11 = a10 * v01 + a11 * v11
-        else:
-            w00 = b00 * v00 + b01 * v10
-            w01 = b00 * v01 + b01 * v11
-            w10 = b10 * v00 + b11 * v10
-            w11 = b10 * v01 + b11 * v11
-        bi += 1
-        v00, v01, v10, v11 = w00, w01, w10, w11
-        tr = tc00 * v00 + tc10 * v01 + tc01 * v10 + tc11 * v11
-        if abs(tr) >= thresh:
-            return WalkResult(k, True, _distance_from_trace(abs(tr)))
-    return WalkResult(cfg.max_steps, False, _distance_from_trace(abs(tr)))
+        n = min(max(_FIRST_BLOCK, done), _RAND_CHUNK)
+        words = (buf[pos : pos + n] >= cfg.p0).reshape(-1, _WORD)
+        idx = np.cumsum(words << _BIT_SHIFTS, axis=1) + _WORD_OFFSETS
+        # pa, pb[w, k]: product of draws 0..k of word w
+        pa, pb = ta[idx], tb[idx]
+        # sa, sb[w]: product of words 0..w, times the carry
+        sa, sb = _scan(pa[:, -1].copy(), pb[:, -1].copy())
+        sa, sb = _mul(sa, sb, ca, cb)
+        qa = np.concatenate(([ca], sa[:-1]))
+        qb = np.concatenate(([cb], sb[:-1]))
+        # Tr(T^dag P Q) = Tr(M P) with M = Q T^dag
+        ma, mb = _mul(qa, qb, c.conjugate(), -d)
+        h = (ma[:, None] * pa - mb[:, None] * pb.conj()).real.reshape(-1)
+        m = min(n, cfg.max_steps - done)
+        close = np.abs(h[:m]) >= thresh
+        k = int(close.argmax())
+        if close[k]:
+            return WalkResult(done + k + 1, True, _distance(h[k]))
+        done += m
+        ca, cb = sa[-1], sb[-1]
+    return WalkResult(cfg.max_steps, False, _distance(h[m - 1]))
 
 
-def _distance_from_trace(abs_trace: float) -> float:
-    return float(np.sqrt(max(0.0, (2.0 - abs_trace) / 2.0)))
+def _su2(u: np.ndarray) -> tuple[complex, complex]:
+    """First row (a, b) of ``u`` with its determinant divided out."""
+    u = np.asarray(u, dtype=complex)
+    s = np.sqrt(np.linalg.det(u))
+    return complex(u[0, 0] / s), complex(u[0, 1] / s)
+
+
+def _mul(a1, b1, a2, b2):
+    """SU(2) product (a1, b1)(a2, b2), elementwise over arrays."""
+    return a1 * a2 - b1 * np.conj(b2), a1 * b2 + b1 * np.conj(a2)
+
+
+def _scan(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inclusive prefix products in place, later elements on the left.
+
+    Hillis-Steele doubling: after the pass with shift s, element i holds
+    the product of elements max(0, i - 2s + 1)..i.
+    """
+    s = 1
+    while s < a.size:
+        a[s:], b[s:] = _mul(a[s:], b[s:], a[:-s], b[:-s])
+        s *= 2
+    return a, b
+
+
+def _word_table(g0, g1) -> tuple[np.ndarray, np.ndarray]:
+    """Products of every gate word of length 1..8, indexed by its bits.
+
+    Bit j of a word's code is 1 when its j-th gate is ``u1``; the word of
+    length l with code x sits at 2^l - 2 + x.
+    """
+    a = np.array([g0[0], g1[0]])
+    b = np.array([g0[1], g1[1]])
+    ta, tb = [a], [b]
+    for _ in range(_WORD - 1):
+        a0, b0 = _mul(g0[0], g0[1], a, b)
+        a1, b1 = _mul(g1[0], g1[1], a, b)
+        a, b = np.concatenate((a0, a1)), np.concatenate((b0, b1))
+        ta.append(a)
+        tb.append(b)
+    return np.concatenate(ta), np.concatenate(tb)
+
+
+def _distance(half_trace: float) -> float:
+    return float(np.sqrt(max(0.0, 1.0 - abs(half_trace))))
 
 
 def run_ensemble(cfg: WalkConfig, trials: int) -> list[WalkResult]:
     """Independent walks with per-trial derived generators, ordered by trial.
 
-    Trial t uses the stream derive_rng(cfg.seed, t), so results do not
-    depend on execution order or batching.
+    Trial t uses the stream derive_rng(cfg.seed, t), drawn from as
+    :func:`run_walk` describes, so results do not depend on execution
+    order or batching.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")

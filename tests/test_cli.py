@@ -136,6 +136,48 @@ def test_walk_outputs_and_reproducibility(capsys, tmp_path):
     assert manifest["parameters"]["preset"] == "two-param"
 
 
+def test_walk_all_hits_at_step_zero(capsys, tmp_path):
+    # epsilon = 1 accepts the identity, so there is no exponential to fit
+    code, out, _ = run(
+        capsys, "walk", "--epsilon", "1.0", "--trials", "3", "--svg",
+        "--out-dir", str(tmp_path),
+    )
+    assert code == 0
+    assert "3/3 hits" in out
+    summary = json.loads((tmp_path / "walk.json").read_text())
+    assert summary["mean_steps"] == 0.0
+    assert summary["lambda"] is None
+    assert sum(summary["histogram"]["counts"]) == 3
+    assert "<polyline" not in (tmp_path / "walk.svg").read_text()
+    manifest = json.loads((tmp_path / "walk_manifest.json").read_text())
+    assert manifest["outputs"] == ["walk.csv", "walk.json", "walk.svg"]
+
+
+def test_argument_errors_write_nothing(capsys, tmp_path):
+    cases = [
+        ("walk", "--bins", "0", "--trials", "3"),
+        ("egg-rus", "--trials", "0"),
+        ("egg-rus", "--max-attempts", "0", "--trials", "2"),
+        ("egg-scan", "--samples", "0"),
+        ("kraus", "--ancilla", "nan", "0"),
+        ("classify", "nan", "0", "0"),
+        ("classify", "0", "inf", "0"),
+    ]
+    for i, argv in enumerate(cases):
+        out_dir = tmp_path / str(i)
+        code, out, err = run(capsys, *argv, "--out-dir", str(out_dir))
+        assert code == 2, argv
+        assert json.loads(err)["error"] == "ArgumentError", argv
+        assert out == "", argv
+        assert not out_dir.exists(), argv
+
+
+def test_json_output_is_strict():
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            cli._json_text({"value": bad})
+
+
 def test_egg_scan_outputs(capsys, tmp_path):
     code, out, _ = run(
         capsys, "egg-scan", "--samples", "41", "--out-dir", str(tmp_path)

@@ -87,6 +87,13 @@ def test_normalize_zero_snap():
     assert p.ax == 0.0
 
 
+def test_normalize_rejects_non_finite():
+    for bad in (np.nan, np.inf, -np.inf):
+        for params in ((bad, 0, 0), (0, bad, 0), (0, 0, bad)):
+            with pytest.raises(ValueError):
+                normalize_params(*params)
+
+
 def test_classify_examples():
     assert classify(0, 0, 0).kind is InteractionKind.LOCAL
     assert classify(np.pi, np.pi / 2, 0).kind is InteractionKind.LOCAL

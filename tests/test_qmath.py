@@ -260,6 +260,9 @@ def test_validators():
         as_state(np.array([1.0, 1.0]))
     with pytest.raises(ValueError):
         as_state(np.array([1.0, 0.0, 0.0]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            as_state(np.array([bad, 0.0]))
     with pytest.raises(ValueError):
         as_unitary(np.array([[1, 1], [0, 1]], dtype=complex))
     rng = np.random.default_rng(2)

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from adqcsim.qmath import hadamard, identity, rx, rz, trace_distance
+from adqcsim.qmath import haar_unitary, hadamard, identity, rx, ry, rz, trace_distance
 from adqcsim.seeding import derive_rng
 from adqcsim.sqwalk import (
     Histogram,
@@ -113,14 +116,62 @@ def _reference_walk(cfg: WalkConfig, rng: np.random.Generator) -> WalkResult:
     return WalkResult(cfg.max_steps, False, d)
 
 
+def _assert_same_walk(cfg: WalkConfig, seed: int, trials: int) -> None:
+    for t in range(trials):
+        fast = run_walk(cfg, derive_rng(seed, t))
+        slow = _reference_walk(cfg, derive_rng(seed, t))
+        assert fast.steps == slow.steps, (seed, t)
+        assert fast.hit == slow.hit, (seed, t)
+        assert abs(fast.final_distance - slow.final_distance) < 1e-9, (seed, t)
+
+
 def test_engine_matches_naive_reference():
-    cfg = one_parameter_config(epsilon=0.08, seed=13)
-    for t in range(10):
-        fast = run_walk(cfg, derive_rng(13, t))
-        slow = _reference_walk(cfg, derive_rng(13, t))
-        assert fast.steps == slow.steps
-        assert fast.hit == slow.hit
-        assert abs(fast.final_distance - slow.final_distance) < 1e-9
+    for make in (one_parameter_config, two_parameter_config):
+        for seed in (13, 21, 1234):
+            _assert_same_walk(make(epsilon=0.08), seed, 10)
+
+    base = one_parameter_config(epsilon=0.08)
+    # ry is not symmetric: a distance taken to the transpose would differ
+    for target in (rx(np.pi / 3), ry(np.pi / 2)):
+        _assert_same_walk(replace(base, target=target), 13, 10)
+    # limits on either side of the 64-draw first block and the 4096-draw chunk
+    for max_steps in (1, 63, 64, 65, 4096, 4097):
+        _assert_same_walk(replace(base, epsilon=0.02, max_steps=max_steps), 7, 3)
+    # a single gate every step: a fixed rotation that may never come close
+    for p0 in (0.0, 1.0):
+        _assert_same_walk(replace(base, p0=p0, max_steps=5000), 7, 2)
+    # gates and target off SU(2) by a global phase, so det != 1
+    phase = np.exp(0.7j)
+    _assert_same_walk(
+        replace(base, u0=phase * base.u0, u1=phase * base.u1, target=phase * base.target),
+        13,
+        10,
+    )
+
+
+@settings(max_examples=60)
+@given(
+    seeds=st.tuples(*[st.integers(0, 2**32 - 1)] * 4),
+    p0=st.floats(0.0, 1.0),
+    epsilon=st.floats(0.05, 0.6),
+    max_steps=st.integers(1, 300),
+)
+def test_engine_matches_naive_reference_on_haar_gates(seeds, p0, epsilon, max_steps):
+    u0, u1, target = (haar_unitary(2, np.random.default_rng(s)) for s in seeds[:3])
+    cfg = WalkConfig(u0=u0, u1=u1, target=target, p0=p0, epsilon=epsilon, max_steps=max_steps)
+    fast = run_walk(cfg, derive_rng(seeds[3], 0))
+    slow = _reference_walk(cfg, derive_rng(seeds[3], 0))
+    assert fast.steps == slow.steps
+    assert fast.hit == slow.hit
+    # d = sqrt(1 - |Tr|/2) turns a rounding error r in the trace into one
+    # of sqrt(r) near d = 0 (for example a gate equal to the target), so
+    # there the squared distances are compared instead
+    assert (
+        abs(fast.final_distance - slow.final_distance) < 1e-9
+        or abs(fast.final_distance**2 - slow.final_distance**2) < 1e-12
+    )
+    if fast.hit:
+        assert fast.final_distance <= epsilon
 
 
 def test_shortest_exact_word_is_only_approximate():
