@@ -19,9 +19,8 @@ from adqcsim.sqwalk import (
     histogram,
     log_bin_counts,
     log_linear_r2,
-    one_parameter_config,
     run_ensemble,
-    two_parameter_config,
+    walk_config,
 )
 
 TRIALS = 400
@@ -50,12 +49,12 @@ def summarize(name: str, cfg) -> None:
 
 
 print("target: rx(pi/2), epsilon = 0.05\n")
-summarize("one-parameter preset", one_parameter_config(seed=SEED))
-summarize("two-parameter preset", two_parameter_config(seed=SEED))
+summarize("one-parameter preset", walk_config("one-param", seed=SEED))
+summarize("two-parameter preset", walk_config("two-param", seed=SEED))
 
 # The first-bin spike of the two-parameter walk comes from short words that
 # almost reach the target. Brute-force all words up to length 4:
-cfg = two_parameter_config(seed=SEED)
+cfg = walk_config("two-param", seed=SEED)
 print("--- best short words, two-parameter preset ---")
 for length in range(1, 5):
     best = None
@@ -74,7 +73,7 @@ for length in range(1, 5):
 # Log-counts of the one-parameter histogram land on a line, the signature of
 # a geometric hitting time.
 print("\n--- log-linear tail, one-parameter preset ---")
-results = run_ensemble(one_parameter_config(seed=SEED), TRIALS)
+results = run_ensemble(walk_config("one-param", seed=SEED), TRIALS)
 h = histogram(np.array([r.steps for r in results], dtype=float), bins=12)
 for x, y in log_bin_counts(h):
     print(f"  bin center {x:>9.1f}   ln(count) {y:.3f}")

@@ -92,8 +92,7 @@ from .sqwalk import (
     fit_exponential,
     histogram,
     log_bin_counts,
-    one_parameter_config,
     run_ensemble,
     run_walk,
-    two_parameter_config,
+    walk_config,
 )

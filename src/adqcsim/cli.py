@@ -2,9 +2,15 @@
 
 Subcommands: classify, kraus, walk, egg-scan, egg-rus, measure.  Global
 flags --seed, --out-dir and --format control randomness and serialization.
-Every file-writing run drops a manifest JSON beside its outputs recording
-the subcommand, parameters, seed, package version and output paths;
-re-running the same manifest reproduces the files byte for byte.
+
+Every subcommand computes first and returns its artifacts and its stdout
+text; :func:`main` then writes the artifacts as ``<subcommand>.<suffix>``
+under --out-dir, writes a manifest beside them recording the subcommand,
+parameters, seed, package version and output names, and only then prints.
+So a failed run leaves no file, and re-running the same manifest
+reproduces the files byte for byte.  classify and kraus print JSON and
+write it only under an explicit --out-dir; the other four print one
+summary line and always write, into the current directory by default.
 
 Exit codes: 0 success, 2 argument error, 3 numeric failure (for example no
 balanced operating point in the requested range), 4 I/O failure.
@@ -15,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +29,8 @@ import numpy as np
 from . import __version__
 from .egg import (
     EggError,
+    ScanRow,
     find_balanced_beta,
-    outcome_probabilities,
     phi_scan,
     run_rus,
     success_probability,
@@ -36,16 +43,15 @@ from .measure import (
     measurement_ensemble,
     weak_interaction,
 )
-from .qmath import bloch_to_state, computational_basis, hadamard, rx, tensor, x_basis
+from .qmath import bloch_to_state, computational_basis, rx, x_basis
 from .seeding import derive_rng
 from .sqwalk import (
-    WalkConfig,
+    WALK_PRESETS,
     fit_exponential,
     histogram,
     log_linear_r2,
-    one_parameter_config,
     run_ensemble,
-    two_parameter_config,
+    walk_config,
 )
 from .svgplot import histogram_svg
 
@@ -55,6 +61,10 @@ EXIT_NUMERIC = 3
 EXIT_IO = 4
 
 CLI_CLASS_TOL = 1e-6
+
+
+class NoHits(ValueError):
+    """A walk ensemble without a single hit has no histogram to plot."""
 
 
 def _fmt(x) -> str:
@@ -74,155 +84,103 @@ def _complex_matrix(m: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m)]
 
 
-def _write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(text)
+def _tables(args: argparse.Namespace, header: list[str], rows, summary: dict) -> dict:
+    """The --format-selected artifacts: a CSV of ``rows`` and a JSON summary."""
+    files = {}
+    if args.format in ("csv", "both"):
+        lines = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
+        files["csv"] = "\n".join(lines) + "\n"
+    if args.format in ("json", "both"):
+        files["json"] = _json_text(summary)
+    return files
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
-    _write_text(path, "\n".join(lines) + "\n")
+def _echo(args: argparse.Namespace, payload: dict) -> tuple[dict, str]:
+    """Print ``payload``; write it as a file only under an explicit --out-dir."""
+    text = _json_text(payload)
+    return ({"json": text} if args.out_dir != "." else {}), text
 
 
-class _Outputs:
-    """Collects written files and serializes the run manifest."""
-
-    def __init__(self, args: argparse.Namespace, name: str):
-        self.name = name
-        self.out_dir = Path(args.out_dir)
-        self.seed = args.seed
-        self.params = {
-            k: v
-            for k, v in sorted(vars(args).items())
-            if k not in ("func",) and not k.startswith("_")
-        }
-        self.files: list[str] = []
-
-    def path(self, suffix: str) -> Path:
-        return self.out_dir / f"{self.name}.{suffix}"
-
-    def record(self, path: Path) -> None:
-        self.files.append(path.name)
-
-    def write_manifest(self) -> None:
-        manifest = {
-            "subcommand": self.name,
-            "parameters": self.params,
-            "seed": self.seed,
-            "version": __version__,
-            "outputs": sorted(self.files),
-        }
-        path = self.out_dir / f"{self.name}_manifest.json"
-        _write_text(path, _json_text(manifest))
+def _write_outputs(args: argparse.Namespace, files: dict) -> None:
+    """Write each artifact as ``<subcommand>.<suffix>``, then the manifest."""
+    named = {f"{args.command}.{suffix}": text for suffix, text in files.items()}
+    manifest = {
+        "subcommand": args.command,
+        "parameters": {k: v for k, v in vars(args).items() if k != "func"},
+        "seed": args.seed,
+        "version": __version__,
+        "outputs": sorted(named),
+    }
+    named[f"{args.command}_manifest.json"] = _json_text(manifest)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, text in named.items():
+        with open(out_dir / name, "w", newline="\n") as fh:
+            fh.write(text)
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (artifacts by suffix, stdout text)
 
 
-def _cmd_classify(args: argparse.Namespace) -> int:
+def _cmd_classify(args: argparse.Namespace) -> tuple[dict, str]:
     canon, moves = normalize_params(args.ax, args.ay, args.az)
     cls = classify(args.ax, args.ay, args.az, tol=args.tol)
-    payload = {
-        "input": [args.ax, args.ay, args.az],
-        "normalized": [canon.ax, canon.ay, canon.az],
-        "moves": moves,
-        "class": cls.kind.value,
-        "is_cz_class": cls.is_cz_class,
-        "is_cz_swap_class": cls.is_cz_swap_class,
-    }
-    text = _json_text(payload)
-    sys.stdout.write(text)
-    if args.out_dir != ".":
-        out = _Outputs(args, "classify")
-        p = out.path("json")
-        _write_text(p, text)
-        out.record(p)
-        out.write_manifest()
-    return EXIT_OK
+    return _echo(
+        args,
+        {
+            "input": [args.ax, args.ay, args.az],
+            "normalized": [canon.ax, canon.ay, canon.az],
+            "moves": moves,
+            "class": cls.kind.value,
+            "is_cz_class": cls.is_cz_class,
+            "is_cz_swap_class": cls.is_cz_swap_class,
+        },
+    )
 
 
 def _kraus_inputs(args: argparse.Namespace):
+    if args.preset == "weak":
+        ancilla, basis = bloch_to_state(np.pi / 2, 0.0), computational_basis()
+        return weak_interaction(args.theta), ancilla, basis
     basis = {"computational": computational_basis(), "x": x_basis()}[args.basis]
     ancilla = bloch_to_state(args.ancilla[0], args.ancilla[1])
-    if args.preset == "one-param":
-        e = tensor(hadamard(), hadamard()) @ delta_gate(0, 0, np.pi / 16)
-        ancilla = bloch_to_state(np.pi / 2, 0.0)
-        basis = x_basis()
-    elif args.preset == "two-param":
-        e = delta_gate(np.pi / 16, 0, np.pi / 16)
-        ancilla = bloch_to_state(np.pi / 2, 0.0)
-        basis = computational_basis()
-    elif args.preset == "deterministic":
-        e = hh_crz_interaction(np.pi / 4)
-    elif args.preset == "weak":
-        e = weak_interaction(args.theta)
-        ancilla = bloch_to_state(np.pi / 2, 0.0)
-        basis = computational_basis()
-    else:
-        e = delta_gate(*args.params)
-    return e, ancilla, basis
+    if args.preset == "deterministic":
+        return hh_crz_interaction(np.pi / 4), ancilla, basis
+    return delta_gate(*args.params), ancilla, basis
 
 
-def _cmd_kraus(args: argparse.Namespace) -> int:
-    e, ancilla, basis = _kraus_inputs(args)
+def _cmd_kraus(args: argparse.Namespace) -> tuple[dict, str]:
+    # a walk preset pins interaction, ancilla and basis to the walk's own
+    e, ancilla, basis = WALK_PRESETS.get(args.preset) or _kraus_inputs(args)
     outcomes = kraus_for(e, ancilla, basis)
-    payload = {
-        "interaction": _complex_matrix(e),
-        "ancilla": _complex_matrix(ancilla.reshape(1, -1)),
-        "outcomes": [
-            {
-                "outcome": i,
-                "operator": _complex_matrix(o.operator),
-                "probability": o.probability,
-                "proportional_unitary": o.proportional_unitary,
-                "is_zero": o.is_zero,
-            }
-            for i, o in enumerate(outcomes)
-        ],
-    }
-    text = _json_text(payload)
-    sys.stdout.write(text)
-    if args.out_dir != ".":
-        out = _Outputs(args, "kraus")
-        p = out.path("json")
-        _write_text(p, text)
-        out.record(p)
-        out.write_manifest()
-    return EXIT_OK
+    return _echo(
+        args,
+        {
+            "interaction": _complex_matrix(e),
+            "ancilla": _complex_matrix(ancilla.reshape(1, -1)),
+            "outcomes": [
+                {
+                    "outcome": i,
+                    "operator": _complex_matrix(o.operator),
+                    "probability": o.probability,
+                    "proportional_unitary": o.proportional_unitary,
+                    "is_zero": o.is_zero,
+                }
+                for i, o in enumerate(outcomes)
+            ],
+        },
+    )
 
 
-def _cmd_walk(args: argparse.Namespace) -> int:
+def _cmd_walk(args: argparse.Namespace) -> tuple[dict, str]:
     if args.bins < 1:
         raise ValueError("bins must be >= 1")
-    make = {"one-param": one_parameter_config, "two-param": two_parameter_config}[
-        args.preset
-    ]
-    cfg = make(epsilon=args.epsilon, seed=args.seed, max_steps=args.max_steps)
-    if args.target_rx != np.pi / 2:
-        cfg = WalkConfig(
-            u0=cfg.u0,
-            u1=cfg.u1,
-            target=rx(args.target_rx),
-            p0=cfg.p0,
-            epsilon=args.epsilon,
-            max_steps=args.max_steps,
-            seed=args.seed,
-        )
-    results = run_ensemble(cfg, args.trials)
+    cfg = walk_config(args.preset, args.epsilon, args.seed, args.max_steps)
+    results = run_ensemble(replace(cfg, target=rx(args.target_rx)), args.trials)
     steps = [r.steps for r in results if r.hit]
-
-    out = _Outputs(args, "walk")
-    if args.format in ("csv", "both"):
-        p = out.path("csv")
-        _write_csv(
-            p,
-            ["trial", "steps", "hit", "final_distance"],
-            [[t, r.steps, r.hit, r.final_distance] for t, r in enumerate(results)],
-        )
-        out.record(p)
+    if args.svg and not steps:
+        raise NoHits(f"no walk of {args.trials} hit the target: no histogram for --svg")
 
     summary: dict = {
         "preset": args.preset,
@@ -230,7 +188,6 @@ def _cmd_walk(args: argparse.Namespace) -> int:
         "trials": args.trials,
         "hits": len(steps),
     }
-    hist = None
     if steps:
         hist = histogram(steps, args.bins)
         mean_steps = float(np.mean(steps))
@@ -250,77 +207,39 @@ def _cmd_walk(args: argparse.Namespace) -> int:
             summary["log_linear_r2"] = log_linear_r2(hist)
         except ValueError:
             summary["log_linear_r2"] = None
-    if args.format in ("json", "both"):
-        p = out.path("json")
-        _write_text(p, _json_text(summary))
-        out.record(p)
-    if args.svg and hist is not None:
-        p = out.path("svg")
-        _write_text(
-            p,
-            histogram_svg(hist, rate, title=f"walk {args.preset}"),
-        )
-        out.record(p)
-    out.write_manifest()
-    sys.stdout.write(
+    files = _tables(
+        args,
+        ["trial", "steps", "hit", "final_distance"],
+        ([t, r.steps, r.hit, r.final_distance] for t, r in enumerate(results)),
+        summary,
+    )
+    if args.svg:
+        files["svg"] = histogram_svg(hist, rate, title=f"walk {args.preset}")
+    return files, (
         f"walk: {len(steps)}/{args.trials} hits, mean steps "
         f"{summary.get('mean_steps', float('nan')):.1f}\n"
     )
-    return EXIT_OK
 
 
-def _cmd_egg_scan(args: argparse.Namespace) -> int:
+def _cmd_egg_scan(args: argparse.Namespace) -> tuple[dict, str]:
     beta_max = args.beta_max if args.beta_max is not None else args.alpha
     rows = phi_scan(args.alpha, (args.beta_min, beta_max), args.samples)
     beta_star = find_balanced_beta(args.alpha, beta_max=beta_max)
-
-    out = _Outputs(args, "egg-scan")
-    if args.format in ("csv", "both"):
-        p = out.path("csv")
-        _write_csv(
-            p,
-            [
-                "beta",
-                "phi_plus",
-                "phi_minus",
-                "delta_phi",
-                "p_plus",
-                "p_minus",
-                "success_prob",
-            ],
-            [
-                [
-                    r.beta,
-                    r.phi_plus,
-                    r.phi_minus,
-                    r.delta_phi,
-                    r.p_plus,
-                    r.p_minus,
-                    r.success_prob,
-                ]
-                for r in rows
-            ],
-        )
-        out.record(p)
     summary = {
         "alpha": args.alpha,
         "beta_star": beta_star,
         "delta_phi_at_beta_star": np.pi,
         "success_prob_at_beta_star": success_probability(args.alpha, beta_star),
     }
-    if args.format in ("json", "both"):
-        p = out.path("json")
-        _write_text(p, _json_text(summary))
-        out.record(p)
-    out.write_manifest()
-    sys.stdout.write(
+    header = [f.name for f in fields(ScanRow)]
+    files = _tables(args, header, (vars(r).values() for r in rows), summary)
+    return files, (
         f"egg-scan: beta* = {beta_star:.6f}, success prob "
         f"{summary['success_prob_at_beta_star']:.6f}\n"
     )
-    return EXIT_OK
 
 
-def _cmd_egg_rus(args: argparse.Namespace) -> int:
+def _cmd_egg_rus(args: argparse.Namespace) -> tuple[dict, str]:
     if args.trials < 1:
         raise ValueError("trials must be >= 1")
     beta = args.beta if args.beta is not None else find_balanced_beta(args.alpha)
@@ -328,11 +247,10 @@ def _cmd_egg_rus(args: argparse.Namespace) -> int:
     for t in range(args.trials):
         res = run_rus(args.alpha, beta, derive_rng(args.seed, t), args.max_attempts)
         trials.append(res)
-    p_plus, p_minus = outcome_probabilities(args.alpha, beta)
     payload = {
         "alpha": args.alpha,
         "beta": beta,
-        "analytic_success_prob": 2 * p_plus * p_minus,
+        "analytic_success_prob": success_probability(args.alpha, beta),
         "mean_attempts": float(np.mean([r.attempts for r in trials])),
         "all_succeeded": all(r.success for r in trials),
         "trials": [
@@ -354,33 +272,17 @@ def _cmd_egg_rus(args: argparse.Namespace) -> int:
             for t, r in enumerate(trials)
         ],
     }
-    out = _Outputs(args, "egg-rus")
-    p = out.path("json")
-    _write_text(p, _json_text(payload))
-    out.record(p)
-    out.write_manifest()
-    sys.stdout.write(
+    return {"json": _json_text(payload)}, (
         f"egg-rus: mean attempts {payload['mean_attempts']:.2f} "
         f"(analytic {1 / payload['analytic_success_prob']:.2f})\n"
     )
-    return EXIT_OK
 
 
-def _cmd_measure(args: argparse.Namespace) -> int:
+def _cmd_measure(args: argparse.Namespace) -> tuple[dict, str]:
     cfg = MeasureConfig(theta=args.theta, epsilon=args.epsilon, seed=args.seed)
     state = bloch_to_state(args.state[0], args.state[1])
     results = measurement_ensemble(state, cfg, args.trials)
     n = cfg.n_steps
-
-    out = _Outputs(args, "measure")
-    if args.format in ("csv", "both"):
-        p = out.path("csv")
-        _write_csv(
-            p,
-            ["trial", "label", "steps", "residual_bound"],
-            [[t, r.label, r.steps_used, r.residual_bound] for t, r in enumerate(results)],
-        )
-        out.record(p)
     labels = np.array([r.label for r in results])
     summary = {
         "theta": args.theta,
@@ -394,17 +296,16 @@ def _cmd_measure(args: argparse.Namespace) -> int:
         },
         "mislabel_bound_for_one_input": float(np.cos(args.theta / 2) ** (2 * n)),
     }
-    if args.format in ("json", "both"):
-        p = out.path("json")
-        _write_text(p, _json_text(summary))
-        out.record(p)
-    out.write_manifest()
-    sys.stdout.write(
-        f"measure: n = {n}, label frequencies 0: "
-        f"{summary['label_frequencies']['0']:.4f}, 1: "
-        f"{summary['label_frequencies']['1']:.4f}\n"
+    files = _tables(
+        args,
+        ["trial", "label", "steps", "residual_bound"],
+        ([t, r.label, r.steps_used, r.residual_bound] for t, r in enumerate(results)),
+        summary,
     )
-    return EXIT_OK
+    freq = summary["label_frequencies"]
+    return files, (
+        f"measure: n = {n}, label frequencies 0: {freq['0']:.4f}, 1: {freq['1']:.4f}\n"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kraus", help="measurement-induced register operators")
     p.add_argument(
         "--preset",
-        choices=("one-param", "two-param", "deterministic", "weak", "none"),
+        choices=(*WALK_PRESETS, "deterministic", "weak", "none"),
         default="none",
     )
     p.add_argument("--params", type=float, nargs=3, default=[0.0, 0.0, np.pi / 16],
@@ -460,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_kraus)
 
     p = sub.add_parser("walk", help="stochastic gate-product walks to a target")
-    p.add_argument("--preset", choices=("one-param", "two-param"), default="one-param")
+    p.add_argument("--preset", choices=tuple(WALK_PRESETS), default="one-param")
     p.add_argument("--epsilon", type=float, default=0.05)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--bins", type=int, default=20)
@@ -504,8 +405,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except EggError as exc:
+        files, text = args.func(args)
+        if files:
+            _write_outputs(args, files)
+    except (EggError, NoHits) as exc:
         sys.stderr.write(
             _json_text({"error": type(exc).__name__, "message": str(exc)})
         )
@@ -516,6 +419,8 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         sys.stderr.write(_json_text({"error": "IOError", "message": str(exc)}))
         return EXIT_IO
+    sys.stdout.write(text)
+    return EXIT_OK
 
 
 def entry() -> None:

@@ -36,7 +36,6 @@ from .qmath import (
     bloch_to_state,
     plus_state,
     rx,
-    ry,
     rz,
     state_to_bloch,
     wrap_angle,
@@ -99,17 +98,14 @@ def theta_prep_for_beta(beta: float, alpha: float) -> float:
 class EggConfig:
     """Coupling, preparation and intermediate gate for one protocol run.
 
-    ``theta_mid`` places the ring's centre polar angle (pi/2 puts the
-    midpoint on the equator); ``intermediate`` is the ancilla gate applied
-    between the two interactions; ``measurement`` is either the string
-    "auto" (compute the midpoint basis) or an explicit orthonormal pair.
+    ``theta_prep`` is the ancilla's preparation polar angle, which sets the
+    effective split :attr:`beta`; ``intermediate`` is the ancilla gate
+    applied between the two interactions.
     """
 
     alpha: float
     theta_prep: float = np.pi / 2
-    theta_mid: float = np.pi / 2
     intermediate: np.ndarray = field(default_factory=lambda: rx(np.pi / 2))
-    measurement: str | tuple[np.ndarray, np.ndarray] = "auto"
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= np.pi / 4:
@@ -156,15 +152,14 @@ def final_ancilla_states(cfg: EggConfig) -> AncillaTrajectory:
 
     The first coupling is absorbed into the effective-split form: the
     intermediate state for first-register bit i is
-    ``intermediate . rz((-1)^i 2 beta) |+>`` tilted by ry(theta_mid - pi/2),
-    and the second coupling contributes rz((-1)^j 2 alpha).  For the default
-    intermediate rx(pi/2) and theta_mid = pi/2 this reproduces the exact
-    symmetric trajectory including per-branch phases.
+    ``intermediate . rz((-1)^i 2 beta) |+>``, and the second coupling
+    contributes rz((-1)^j 2 alpha).  For the default intermediate rx(pi/2)
+    this reproduces the exact symmetric trajectory including per-branch
+    phases.
     """
     beta = cfg.beta
-    tilt = ry(cfg.theta_mid - np.pi / 2)
     inter = tuple(
-        tilt @ cfg.intermediate @ rz(sign * 2 * beta) @ plus_state()
+        cfg.intermediate @ rz(sign * 2 * beta) @ plus_state()
         for sign in (+1, -1)
     )
     finals = tuple(
@@ -426,6 +421,8 @@ def phi_scan(
     pi crossing is visible.
     """
     lo, hi = beta_range if beta_range is not None else (0.0, alpha)
+    if not 0.0 < alpha <= np.pi / 4:
+        raise ValueError("alpha must lie in (0, pi/4]")
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if not 0.0 <= lo <= hi <= alpha + 1e-15:
@@ -534,7 +531,8 @@ def run_rus(
     """
     if max_attempts < 1:
         raise ValueError("max_attempts must be >= 1")
-    if abs(delta_phi_raw(alpha, beta_star) - np.pi) > 1e-6:
+    # written so that a NaN beta_star fails the check too
+    if not abs(delta_phi_raw(alpha, beta_star) - np.pi) <= 1e-6:
         raise ValueError("beta_star does not satisfy the balanced condition")
     p_plus, _ = outcome_probabilities(alpha, beta_star)
     rows = phi_scan(alpha, (beta_star, beta_star), samples=1)[0]

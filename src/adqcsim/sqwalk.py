@@ -194,39 +194,36 @@ def run_ensemble(cfg: WalkConfig, trials: int) -> list[WalkResult]:
     return [run_walk(cfg, derive_rng(cfg.seed, t)) for t in range(trials)]
 
 
-def one_parameter_config(
-    epsilon: float = DEFAULT_EPSILON, seed: int = 0, max_steps: int = DEFAULT_MAX_STEPS
+# preset -> (interaction E, ancilla, readout basis); the two Kraus branches
+# <b| E |ancilla> are the walk gates u0, u1 and their weights give p0
+WALK_PRESETS = {
+    # the maximally biased one-parameter interaction (H x H) delta(0, 0, pi/16),
+    # read out in the x basis: u_b = H rz(+/- pi/8) with p = 1/2 each
+    "one-param": (
+        tensor(hadamard(), hadamard()) @ delta_gate(0.0, 0.0, np.pi / 16),
+        plus_state(),
+        x_basis(),
+    ),
+    # the two-parameter interaction delta(pi/16, 0, pi/16), read out in the
+    # computational basis: u_b = rz(+/- pi/8) rx(pi/8) with p = 1/2 each.  The
+    # closest length-4 words (0110, 1001) reach rx(pi/2) to trace distance
+    # 0.0454: inside the default epsilon = 0.05, but not exactly.
+    "two-param": (
+        delta_gate(np.pi / 16, 0.0, np.pi / 16),
+        plus_state(),
+        computational_basis(),
+    ),
+}
+
+
+def walk_config(
+    preset: str,
+    epsilon: float = DEFAULT_EPSILON,
+    seed: int = 0,
+    max_steps: int = DEFAULT_MAX_STEPS,
 ) -> WalkConfig:
-    """Walk gates from the maximally biased one-parameter interaction.
-
-    The gates are re-derived from the Kraus operators of
-    E = (H x H) delta(0, 0, pi/16) with ancilla |+> measured in the x basis,
-    which yields u_b = H rz(+/- pi/8) with p = 1/2 each.
-    """
-    e = tensor(hadamard(), hadamard()) @ delta_gate(0.0, 0.0, np.pi / 16)
-    outs = kraus_for(e, plus_state(), x_basis())
-    return WalkConfig(
-        u0=outs[0].unitary_part,
-        u1=outs[1].unitary_part,
-        p0=outs[0].probability,
-        epsilon=epsilon,
-        max_steps=max_steps,
-        seed=seed,
-    )
-
-
-def two_parameter_config(
-    epsilon: float = DEFAULT_EPSILON, seed: int = 0, max_steps: int = DEFAULT_MAX_STEPS
-) -> WalkConfig:
-    """Walk gates from the two-parameter interaction delta(pi/16, 0, pi/16).
-
-    Ancilla |+> with a computational measurement yields
-    u_b = rz(+/- pi/8) rx(pi/8) with p = 1/2 each.  The closest length-4
-    words (0110, 1001) reach rx(pi/2) to trace distance 0.0454: inside the
-    default epsilon = 0.05, but not exactly.
-    """
-    e = delta_gate(np.pi / 16, 0.0, np.pi / 16)
-    outs = kraus_for(e, plus_state(), computational_basis())
+    """Walk to rx(pi/2) with the gates re-derived from a :data:`WALK_PRESETS` entry."""
+    outs = kraus_for(*WALK_PRESETS[preset])
     return WalkConfig(
         u0=outs[0].unitary_part,
         u1=outs[1].unitary_part,

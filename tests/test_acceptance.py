@@ -50,9 +50,8 @@ from adqcsim.sqwalk import (
     fit_exponential,
     histogram,
     log_linear_r2,
-    one_parameter_config,
     run_ensemble,
-    two_parameter_config,
+    walk_config,
 )
 
 ALPHA = np.pi / 16
@@ -170,7 +169,7 @@ def _word_distances(cfg: WalkConfig, max_length: int) -> dict[tuple[int, ...], f
 
 def test_walk_distributions():
     t0 = time.perf_counter()
-    res1 = run_ensemble(one_parameter_config(seed=SEED), 1000)
+    res1 = run_ensemble(walk_config("one-param", seed=SEED), 1000)
     steps1 = np.array([r.steps for r in res1], dtype=float)
     chi2, crit, dof = _chi_square_exponential(steps1)
     chi_ok = chi2 <= crit
@@ -178,7 +177,7 @@ def test_walk_distributions():
     r2 = log_linear_r2(histogram(steps1, bins=20))
     r2_ok = r2 >= 0.9
 
-    cfg2 = two_parameter_config(seed=SEED)
+    cfg2 = walk_config("two-param", seed=SEED)
     res2 = run_ensemble(cfg2, 1000)
     h2 = histogram(np.array([r.steps for r in res2], dtype=float), bins=20)
     first_bin_ok = h2.counts[0] == max(h2.counts)

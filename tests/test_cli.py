@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import json
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 import adqcsim
 from adqcsim import cli
+from adqcsim.sqwalk import WALK_PRESETS, walk_config
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -78,6 +80,27 @@ def test_kraus_one_param_preset_overrides_basis(capsys):
     for o in payload["outcomes"]:
         assert o["proportional_unitary"]
         assert abs(o["probability"] - 0.5) < 1e-10
+
+
+@pytest.mark.parametrize("preset", list(WALK_PRESETS))
+def test_kraus_walk_presets_are_the_walk_gates(capsys, preset):
+    code, out, _ = run(capsys, "kraus", "--preset", preset)
+    assert code == 0
+    outcomes = json.loads(out)["outcomes"]
+    cfg = walk_config(preset)
+    assert outcomes[0]["probability"] == cfg.p0
+    for o, gate in zip(outcomes, (cfg.u0, cfg.u1)):
+        op = np.array([[complex(re, im) for re, im in row] for row in o["operator"]])
+        np.testing.assert_array_equal(op / np.sqrt(o["probability"]), gate)
+
+
+def test_echo_commands_write_nothing_without_out_dir(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for argv in (("classify", "0", "0", "0"), ("kraus",), ("kraus", "--preset", "weak")):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, argv
+        assert json.loads(out), argv
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_kraus_explicit_params_zero_branch(capsys):
@@ -170,6 +193,75 @@ def test_argument_errors_write_nothing(capsys, tmp_path):
         assert json.loads(err)["error"] == "ArgumentError", argv
         assert out == "", argv
         assert not out_dir.exists(), argv
+
+
+def test_walk_svg_without_hits_is_numeric_failure(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = ("walk", "--trials", "3", "--max-steps", "1", "--svg")
+    for extra in ((), ("--out-dir", "out")):
+        code, out, err = run(capsys, *argv, *extra)
+        assert code == 3
+        assert json.loads(err)["error"] == "NoHits"
+        assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_nan_messages_name_the_argument(capsys, tmp_path):
+    cases = [
+        (("egg-scan", "--alpha", "nan"), "alpha must lie in (0, pi/4]"),
+        (("egg-rus", "--beta", "nan", "--trials", "2"), "beta_star does not satisfy"),
+    ]
+    for argv, message in cases:
+        code, out, err = run(capsys, *argv, "--out-dir", str(tmp_path))
+        assert code == 2, argv
+        assert json.loads(err)["message"].startswith(message), argv
+        assert out == "", argv
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "fmt, suffixes", [("csv", ["csv"]), ("json", ["json"]), ("both", ["csv", "json"])]
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("walk", "--trials", "3", "--epsilon", "0.5"),
+        ("egg-scan", "--samples", "5"),
+        ("measure", "--trials", "5"),
+    ],
+)
+def test_format_selects_the_files(capsys, tmp_path, argv, fmt, suffixes):
+    code, _, _ = run(capsys, *argv, "--format", fmt, "--out-dir", str(tmp_path))
+    assert code == 0
+    name = argv[0]
+    outputs = [f"{name}.{suffix}" for suffix in suffixes]
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert written == sorted(outputs + [f"{name}_manifest.json"])
+    manifest = json.loads((tmp_path / f"{name}_manifest.json").read_text())
+    assert manifest["outputs"] == outputs
+
+
+def test_manifest_parameters_are_the_parser_dests(capsys, tmp_path):
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    argvs = {
+        "classify": ["0", "0", "0"],
+        "kraus": [],
+        "walk": ["--trials", "3", "--epsilon", "0.5"],
+        "egg-scan": ["--samples", "5"],
+        "egg-rus": ["--trials", "2"],
+        "measure": ["--trials", "5"],
+    }
+    assert set(argvs) == set(sub.choices)
+    for name, extra in argvs.items():
+        out_dir = tmp_path / name
+        code, _, _ = run(capsys, name, *extra, "--out-dir", str(out_dir))
+        assert code == 0, name
+        dests = {
+            a.dest for a in sub.choices[name]._actions if a.default is not argparse.SUPPRESS
+        }
+        manifest = json.loads((out_dir / f"{name}_manifest.json").read_text())
+        assert set(manifest["parameters"]) == dests | {"command"}, name
 
 
 def test_json_output_is_strict():

@@ -418,6 +418,9 @@ def test_phi_scan_endpoints():
         phi_scan(ALPHA, (0.1, 0.05))
     with pytest.raises(ValueError):
         phi_scan(ALPHA, (0.0, 2 * ALPHA))
+    for alpha in (float("nan"), 1.0):
+        with pytest.raises(ValueError, match="alpha must lie"):
+            phi_scan(alpha)
 
 
 def test_find_balanced_beta_reference_point():
@@ -470,8 +473,9 @@ def test_run_rus_log_structure():
 
 def test_run_rus_rejects_unbalanced_beta():
     rng = derive_rng(0, 0)
-    with pytest.raises(ValueError):
-        run_rus(ALPHA, 0.1, rng)
+    for beta in (0.1, float("nan")):
+        with pytest.raises(ValueError, match="balanced condition"):
+            run_rus(ALPHA, beta, rng)
 
 
 def test_run_rus_mean_attempts():

@@ -18,15 +18,14 @@ from adqcsim.sqwalk import (
     histogram,
     log_bin_counts,
     log_linear_r2,
-    one_parameter_config,
     run_ensemble,
     run_walk,
-    two_parameter_config,
+    walk_config,
 )
 
 
 def test_one_parameter_gates():
-    cfg = one_parameter_config()
+    cfg = walk_config("one-param")
     np.testing.assert_allclose(cfg.u0, hadamard() @ rz(np.pi / 8), atol=1e-10)
     np.testing.assert_allclose(cfg.u1, hadamard() @ rz(-np.pi / 8), atol=1e-10)
     assert abs(cfg.p0 - 0.5) < 1e-12
@@ -34,7 +33,7 @@ def test_one_parameter_gates():
 
 
 def test_two_parameter_gates():
-    cfg = two_parameter_config()
+    cfg = walk_config("two-param")
     np.testing.assert_allclose(cfg.u0, rz(np.pi / 8) @ rx(np.pi / 8), atol=1e-10)
     np.testing.assert_allclose(cfg.u1, rz(-np.pi / 8) @ rx(np.pi / 8), atol=1e-10)
     assert abs(cfg.p0 - 0.5) < 1e-12
@@ -42,9 +41,9 @@ def test_two_parameter_gates():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        one_parameter_config(epsilon=0.0).validated()
+        walk_config("one-param", epsilon=0.0).validated()
     with pytest.raises(ValueError):
-        one_parameter_config(epsilon=1.5).validated()
+        walk_config("one-param", epsilon=1.5).validated()
     cfg = WalkConfig(u0=hadamard(), u1=hadamard(), p0=1.5)
     with pytest.raises(ValueError):
         cfg.validated()
@@ -60,7 +59,7 @@ def test_identity_target_hits_at_step_zero():
 
 
 def test_epsilon_one_accepts_everything():
-    cfg = one_parameter_config(epsilon=1.0)
+    cfg = walk_config("one-param", epsilon=1.0)
     res = run_walk(cfg, derive_rng(0, 0))
     assert res.steps == 0 and res.hit
     # starting distance to rx(pi/2) from the identity
@@ -69,14 +68,14 @@ def test_epsilon_one_accepts_everything():
 
 
 def test_miss_reports_max_steps():
-    cfg = one_parameter_config(epsilon=0.001, max_steps=50)
+    cfg = walk_config("one-param", epsilon=0.001, max_steps=50)
     res = run_walk(cfg, derive_rng(3, 0))
     assert not res.hit and res.steps == 50
     assert res.final_distance > 0.001
 
 
 def test_hit_distance_within_epsilon():
-    cfg = one_parameter_config(epsilon=0.1, seed=5)
+    cfg = walk_config("one-param", epsilon=0.1, seed=5)
     for t in range(10):
         res = run_walk(cfg, derive_rng(5, t))
         assert res.hit
@@ -85,13 +84,13 @@ def test_hit_distance_within_epsilon():
 
 def test_looser_epsilon_stops_no_later_on_same_stream():
     for t in range(10):
-        tight = run_walk(one_parameter_config(epsilon=0.05), derive_rng(9, t))
-        loose = run_walk(one_parameter_config(epsilon=0.1), derive_rng(9, t))
+        tight = run_walk(walk_config("one-param", epsilon=0.05), derive_rng(9, t))
+        loose = run_walk(walk_config("one-param", epsilon=0.1), derive_rng(9, t))
         assert loose.steps <= tight.steps
 
 
 def test_ensemble_determinism():
-    cfg = one_parameter_config(epsilon=0.1, seed=42)
+    cfg = walk_config("one-param", epsilon=0.1, seed=42)
     a = run_ensemble(cfg, 20)
     b = run_ensemble(cfg, 20)
     assert a == b
@@ -126,11 +125,11 @@ def _assert_same_walk(cfg: WalkConfig, seed: int, trials: int) -> None:
 
 
 def test_engine_matches_naive_reference():
-    for make in (one_parameter_config, two_parameter_config):
+    for preset in ("one-param", "two-param"):
         for seed in (13, 21, 1234):
-            _assert_same_walk(make(epsilon=0.08), seed, 10)
+            _assert_same_walk(walk_config(preset, epsilon=0.08), seed, 10)
 
-    base = one_parameter_config(epsilon=0.08)
+    base = walk_config("one-param", epsilon=0.08)
     # ry is not symmetric: a distance taken to the transpose would differ
     for target in (rx(np.pi / 3), ry(np.pi / 2)):
         _assert_same_walk(replace(base, target=target), 13, 10)
@@ -178,7 +177,7 @@ def test_shortest_exact_word_is_only_approximate():
     # for the two-parameter gates the best 4-gate product lands near but not
     # on the target: within the default epsilon = 0.05 yet far outside any
     # exact-match tolerance
-    cfg = two_parameter_config()
+    cfg = walk_config("two-param")
     best = np.inf
     for length in (1, 2, 3, 4):
         for word in itertools.product((cfg.u0, cfg.u1), repeat=length):
@@ -192,7 +191,7 @@ def test_shortest_exact_word_is_only_approximate():
 
 
 def test_mean_steps_one_parameter():
-    cfg = one_parameter_config(seed=20240901)
+    cfg = walk_config("one-param", seed=20240901)
     results = run_ensemble(cfg, 100)
     assert all(r.hit for r in results)
     mean = np.mean([r.steps for r in results])
