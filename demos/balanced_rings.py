@@ -14,6 +14,8 @@ sign-flipped second round.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from adqcsim.egg import (
@@ -27,7 +29,6 @@ from adqcsim.egg import (
     phi_scan,
     register_unitary,
     run_rus,
-    simulate_rus_attempts,
     success_probability,
     symmetric_config,
 )
@@ -84,13 +85,15 @@ rng = derive_rng(20240901, 99)
 result = run_rus(ALPHA, beta_star, rng)
 print(f"one run: success after {result.attempts} attempts")
 for rec in result.log:
-    print(f"  attempt {rec.index}: outcomes ({rec.outcome_first}, "
+    print(f"  attempt {rec.attempt}: outcomes ({rec.outcome_first}, "
           f"{rec.outcome_second}) -> "
           f"{'success' if rec.success else 'undone'}, "
           f"combined phase {rec.combined_phase:+.4f}")
 
+# the first n attempts of independent runs, one derived stream per run
 n = 20_000
-succ = simulate_rus_attempts(ALPHA, beta_star, n, seed=20240901)
+logs = (run_rus(ALPHA, beta_star, derive_rng(20240901, t)).log for t in itertools.count())
+succ = [rec.success for rec in itertools.islice(itertools.chain.from_iterable(logs), n)]
 print(f"\n{n} independent attempts: empirical success rate "
-      f"{succ.mean():.4f} vs analytic {p_succ:.4f}")
+      f"{np.mean(succ):.4f} vs analytic {p_succ:.4f}")
 print(f"mean attempts to success: {1 / p_succ:.2f}")

@@ -243,32 +243,19 @@ def _cmd_egg_rus(args: argparse.Namespace) -> tuple[dict, str]:
     if args.trials < 1:
         raise ValueError("trials must be >= 1")
     beta = args.beta if args.beta is not None else find_balanced_beta(args.alpha)
-    trials = []
-    for t in range(args.trials):
-        res = run_rus(args.alpha, beta, derive_rng(args.seed, t), args.max_attempts)
-        trials.append(res)
+    trials = [
+        run_rus(args.alpha, beta, derive_rng(args.seed, t), args.max_attempts)
+        for t in range(args.trials)
+    ]
     payload = {
         "alpha": args.alpha,
         "beta": beta,
         "analytic_success_prob": success_probability(args.alpha, beta),
         "mean_attempts": float(np.mean([r.attempts for r in trials])),
         "all_succeeded": all(r.success for r in trials),
+        # the JSON keys are the field names of RusResult and AttemptRecord
         "trials": [
-            {
-                "trial": t,
-                "attempts": r.attempts,
-                "success": r.success,
-                "log": [
-                    {
-                        "attempt": rec.index,
-                        "outcome_first": rec.outcome_first,
-                        "outcome_second": rec.outcome_second,
-                        "success": rec.success,
-                        "combined_phase": rec.combined_phase,
-                    }
-                    for rec in r.log
-                ],
-            }
+            {"trial": t, **vars(r), "log": [vars(rec) for rec in r.log]}
             for t, r in enumerate(trials)
         ],
     }

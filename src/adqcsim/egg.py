@@ -37,10 +37,11 @@ from .qmath import (
     plus_state,
     rx,
     rz,
+    sample_outcome,
     state_to_bloch,
     wrap_angle,
 )
-from .seeding import derive_rng
+from .seeding import derive_rng  # unused; kept as a binding bench/tracing.py wraps
 
 COPLANAR_TOL = 1e-8
 MAGNITUDE_TOL = 1e-8
@@ -81,6 +82,14 @@ class ConstraintViolated(EggError):
 # configuration
 
 
+def _check_split(alpha: float, lo: float = 0.0, hi: float = 0.0) -> None:
+    """Reject an alpha outside (0, pi/4] or a beta range [lo, hi] outside [0, alpha]."""
+    if not 0.0 < alpha <= np.pi / 4:
+        raise ValueError("alpha must lie in (0, pi/4]")
+    if not 0.0 <= lo <= hi <= alpha + 1e-15:
+        raise ValueError("beta range must satisfy 0 <= lo <= hi <= alpha")
+
+
 def effective_beta(theta_prep: float, alpha: float) -> float:
     """Effective split angle: sin(2 beta) = sin(theta_prep) sin(2 alpha)."""
     return float(np.arcsin(np.sin(theta_prep) * np.sin(2 * alpha)) / 2)
@@ -108,8 +117,7 @@ class EggConfig:
     intermediate: np.ndarray = field(default_factory=lambda: rx(np.pi / 2))
 
     def __post_init__(self):
-        if not 0.0 < self.alpha <= np.pi / 4:
-            raise ValueError("alpha must lie in (0, pi/4]")
+        _check_split(self.alpha)
         as_unitary(self.intermediate)
 
     @property
@@ -379,6 +387,21 @@ def outcome_probabilities(alpha: float, beta: float) -> tuple[float, float]:
     return float(p_plus), float(1.0 - p_plus)
 
 
+def _outcome_phases(alpha: float, beta: float) -> tuple[float, float, float]:
+    """Outcome phases Phi+/- = 4 phi00+/- + pi, wrapped, and :func:`delta_phi_raw`.
+
+    phi00+/- = arg c+/- of branch (0, 0); see :func:`analytic_overlaps`.
+    """
+    a, b = alpha + beta, alpha - beta
+    phi00_plus = float(np.angle(np.cos(a) - 1j * np.cos(b)))
+    phi00_minus = float(np.angle(-1j * np.sin(a) - np.sin(b)))
+    return (
+        wrap_angle(4 * phi00_plus + np.pi),
+        wrap_angle(4 * phi00_minus + np.pi),
+        4.0 * (phi00_plus - phi00_minus),
+    )
+
+
 def delta_phi_raw(alpha: float, beta: float) -> float:
     """Continuous outcome-phase difference 4 (phi00+ - phi00-), in (0, 4 pi).
 
@@ -386,10 +409,7 @@ def delta_phi_raw(alpha: float, beta: float) -> float:
     at beta = 0 and decreases, so the balanced condition is a plain root of
     delta_phi_raw - pi.
     """
-    a, b = alpha + beta, alpha - beta
-    phi_plus = np.angle(np.cos(a) - 1j * np.cos(b))
-    phi_minus = np.angle(-1j * np.sin(a) - np.sin(b))
-    return float(4.0 * (phi_plus - phi_minus))
+    return _outcome_phases(alpha, beta)[2]
 
 
 def success_probability(alpha: float, beta: float) -> float:
@@ -421,30 +441,19 @@ def phi_scan(
     pi crossing is visible.
     """
     lo, hi = beta_range if beta_range is not None else (0.0, alpha)
-    if not 0.0 < alpha <= np.pi / 4:
-        raise ValueError("alpha must lie in (0, pi/4]")
+    _check_split(alpha)  # before samples, so a bad alpha is the error reported
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if not 0.0 <= lo <= hi <= alpha + 1e-15:
-        raise ValueError("beta range must satisfy 0 <= lo <= hi <= alpha")
-    rows = []
-    for beta in np.linspace(lo, hi, samples):
-        a, b = alpha + beta, alpha - beta
-        phi00_plus = float(np.angle(np.cos(a) - 1j * np.cos(b)))
-        phi00_minus = float(np.angle(-1j * np.sin(a) - np.sin(b)))
-        p_plus, p_minus = outcome_probabilities(alpha, beta)
-        rows.append(
-            ScanRow(
-                beta=float(beta),
-                phi_plus=wrap_angle(4 * phi00_plus + np.pi),
-                phi_minus=wrap_angle(4 * phi00_minus + np.pi),
-                delta_phi=4.0 * (phi00_plus - phi00_minus),
-                p_plus=p_plus,
-                p_minus=p_minus,
-                success_prob=2.0 * p_plus * p_minus,
-            )
+    _check_split(alpha, lo, hi)
+    return [
+        ScanRow(
+            float(beta),
+            *_outcome_phases(alpha, beta),
+            *outcome_probabilities(alpha, beta),
+            success_probability(alpha, beta),
         )
-    return rows
+        for beta in np.linspace(lo, hi, samples)
+    ]
 
 
 def find_balanced_beta(
@@ -458,8 +467,7 @@ def find_balanced_beta(
     samples for a sign change of delta_phi_raw - pi and bisects it down to
     ``tol`` in beta.  Raises NoRoot when the curve does not cross pi there.
     """
-    if not 0.0 < alpha <= np.pi / 4:
-        raise ValueError("alpha must lie in (0, pi/4]")
+    _check_split(alpha)
     hi = alpha if beta_max is None else float(beta_max)
     if not 0.0 < hi <= alpha:
         raise ValueError("beta_max must lie in (0, alpha]")
@@ -502,7 +510,7 @@ def find_balanced_beta(
 
 @dataclass(frozen=True)
 class AttemptRecord:
-    index: int
+    attempt: int
     outcome_first: int
     outcome_second: int
     success: bool
@@ -527,39 +535,28 @@ def run_rus(
     Round two flips the sign of the applied phase, so an attempt combines
     to +/- pi (a CZ up to locals) exactly when the two sampled outcomes
     differ; equal outcomes cancel to the identity and the register is
-    unchanged, so failed attempts need no correction.
+    unchanged, so failed attempts need no correction.  Each round draws
+    its outcome (0 is "+") with :func:`~adqcsim.qmath.sample_outcome`.
     """
     if max_attempts < 1:
         raise ValueError("max_attempts must be >= 1")
+    *phase, delta_phi = _outcome_phases(alpha, beta_star)
     # written so that a NaN beta_star fails the check too
-    if not abs(delta_phi_raw(alpha, beta_star) - np.pi) <= 1e-6:
+    if not abs(delta_phi - np.pi) <= 1e-6:
         raise ValueError("beta_star does not satisfy the balanced condition")
-    p_plus, _ = outcome_probabilities(alpha, beta_star)
-    rows = phi_scan(alpha, (beta_star, beta_star), samples=1)[0]
-    phase = {0: rows.phi_plus, 1: rows.phi_minus}
+    _check_split(alpha, beta_star, beta_star)
+    probs = outcome_probabilities(alpha, beta_star)
 
     log: list[AttemptRecord] = []
     for attempt in range(1, max_attempts + 1):
-        m1 = 0 if rng.random() < p_plus else 1
-        m2 = 0 if rng.random() < p_plus else 1
+        m1 = sample_outcome(*probs, rng)
+        m2 = sample_outcome(*probs, rng)
         success = m1 != m2
         combined = wrap_angle(phase[m1] - phase[m2])
         log.append(AttemptRecord(attempt, m1, m2, success, combined))
         if success:
             return RusResult(attempt, True, tuple(log))
     return RusResult(max_attempts, False, tuple(log))
-
-
-def simulate_rus_attempts(
-    alpha: float, beta: float, n_attempts: int, seed: int = 0
-) -> np.ndarray:
-    """Vectorised success indicators of independent two-round attempts."""
-    p_plus, _ = outcome_probabilities(alpha, beta)
-    rng = derive_rng(seed, 0)
-    u = rng.random((2, n_attempts))
-    m1 = u[0] >= p_plus
-    m2 = u[1] >= p_plus
-    return m1 != m2
 
 
 # ---------------------------------------------------------------------------

@@ -20,16 +20,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qmath import (
+    BRANCH_TOL,
     as_state,
     as_unitary,
-    basis_state,
     c_rz,
     hadamard,
     rz,
+    sample_outcome,
     tensor,
 )
 
-ZERO_BRANCH_TOL = 1e-14
 PROP_UNITARY_TOL = 1e-10
 
 
@@ -91,7 +91,7 @@ def kraus_for(
             prob = p
         else:
             prob = float(np.linalg.eigvalsh(k.conj().T @ k)[-1])
-        if prob < ZERO_BRANCH_TOL:
+        if prob < BRANCH_TOL:
             outcomes.append(
                 KrausOutcome(np.zeros((2, 2), dtype=complex), 0.0, False, is_zero=True)
             )
@@ -110,20 +110,17 @@ def single_qubit_step(
     """One ancilla-coupling round: sample the outcome, return the new register.
 
     Born weights are computed for the actual register state, so branches
-    that are not proportional to unitary are handled correctly.
+    that are not proportional to unitary are handled correctly; the outcome
+    is drawn by :func:`~adqcsim.qmath.sample_outcome`.
     """
     psi = as_state(register)
     if psi.size != 2:
         raise ValueError("register must be a single qubit")
     ops = kraus_for(e, ancilla, basis)
     vecs = [op.operator @ psi for op in ops]
-    p0 = float(np.vdot(vecs[0], vecs[0]).real)
-    outcome = 0 if rng.random() < p0 else 1
+    outcome = sample_outcome(*(float(np.vdot(v, v).real) for v in vecs), rng)
     v = vecs[outcome]
-    norm = np.linalg.norm(v)
-    if norm < np.sqrt(ZERO_BRANCH_TOL):
-        raise ValueError("sampled a zero-probability branch")
-    return outcome, v / norm, ops[outcome]
+    return outcome, v / np.linalg.norm(v), ops[outcome]
 
 
 def hh_crz_interaction(theta: float) -> np.ndarray:

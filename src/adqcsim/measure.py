@@ -22,7 +22,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmath import as_state, as_unitary, basis_state, c_rz, hadamard, plus_state, tensor
+from .qmath import (
+    as_state,
+    as_unitary,
+    basis_state,
+    c_rz,
+    hadamard,
+    plus_state,
+    sample_outcome,
+    tensor,
+)
 from .seeding import derive_rng
 
 
@@ -72,7 +81,8 @@ def weak_step(
 
     Outcome 0 leaves alpha|0> + beta cos(theta/2)|1> (renormalised) with
     probability |alpha|^2 + |beta|^2 cos^2(theta/2); outcome 1 occurs with
-    probability |beta|^2 sin^2(theta/2) and leaves exactly |1>.
+    probability |beta|^2 sin^2(theta/2) and leaves exactly |1>.  The
+    outcome is drawn, or forced, by :func:`~adqcsim.qmath.sample_outcome`.
     """
     psi = as_state(register)
     if psi.size != 2:
@@ -80,16 +90,8 @@ def weak_step(
     half = theta / 2
     p1 = float(abs(psi[1]) ** 2 * np.sin(half) ** 2)
     p0 = 1.0 - p1
-    if forced is not None:
-        outcome = forced
-    else:
-        if rng is None:
-            raise ValueError("either rng or forced must be given")
-        outcome = 0 if rng.random() < p0 else 1
-    if outcome == 1:
+    if sample_outcome(p0, p1, rng, forced):
         return 1, basis_state(1), p1
-    if p0 < 1e-14:
-        raise ValueError("forced outcome 0 has zero probability")
     post = np.array([psi[0], psi[1] * np.cos(half)])
     return 0, post / np.linalg.norm(post), p0
 
@@ -122,7 +124,6 @@ class MeasureResult:
 
     label: int
     steps_used: int
-    outcome_string: str
     post_state: np.ndarray
     residual_bound: float
 
@@ -142,14 +143,11 @@ def run_measurement(
     if pre_rotation is not None:
         psi = as_unitary(pre_rotation) @ psi
     n = cfg.n_steps
-    half = cfg.theta / 2
-    bits: list[str] = []
-    for _ in range(n):
+    for step in range(1, n + 1):
         outcome, psi, _ = weak_step(psi, cfg.theta, rng)
-        bits.append(str(outcome))
         if outcome == 1:
-            return MeasureResult(1, len(bits), "".join(bits), psi, 0.0)
-    return MeasureResult(0, n, "".join(bits), psi, float(np.cos(half) ** n))
+            return MeasureResult(1, step, psi, 0.0)
+    return MeasureResult(0, n, psi, float(np.cos(cfg.theta / 2) ** n))
 
 
 def measurement_ensemble(

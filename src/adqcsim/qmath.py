@@ -31,7 +31,7 @@ _PAULI = {
 
 
 class ImpossibleBranchError(ValueError):
-    """Raised when a forced measurement branch has (numerically) zero weight."""
+    """Raised when a measurement branch of (numerically) zero weight is taken."""
 
 
 def pauli(axis: str) -> np.ndarray:
@@ -212,6 +212,34 @@ def _check_basis(basis: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.n
     return m0, m1
 
 
+def sample_outcome(
+    p0: float,
+    p1: float,
+    rng: np.random.Generator | None = None,
+    forced: int | None = None,
+) -> int:
+    """Draw a binary measurement outcome from its branch weights ``p0``, ``p1``.
+
+    This is the one outcome rule of the package: each binary outcome costs
+    exactly one ``rng.random()`` draw, and the outcome is 0 iff that draw is
+    below ``p0``.  Passing ``forced`` (0 or 1) selects the branch without a
+    draw.  Taking a branch whose weight is below ``BRANCH_TOL``, whether
+    sampled or forced, raises :class:`ImpossibleBranchError`.
+    """
+    if forced is None:
+        if rng is None:
+            raise ValueError("either rng or forced must be given")
+        outcome = 0 if rng.random() < p0 else 1
+    elif forced in (0, 1):
+        outcome = int(forced)
+    else:
+        raise ValueError("forced outcome must be 0 or 1")
+    weight = p1 if outcome else p0
+    if weight < BRANCH_TOL:
+        raise ImpossibleBranchError(f"branch {outcome} has probability {weight:.3e}")
+    return outcome
+
+
 def measure_qubit(
     state: np.ndarray,
     qubit: int,
@@ -223,9 +251,8 @@ def measure_qubit(
 
     Returns ``(outcome, probability, post_state)`` where the post state no
     longer contains the measured qubit (for a single-qubit input the
-    collapsed basis state is returned instead).  Pass ``forced`` to select a
-    branch deterministically; forcing a branch of probability below
-    ``BRANCH_TOL`` raises :class:`ImpossibleBranchError`.
+    collapsed basis state is returned instead).  The outcome is drawn, or
+    forced, by :func:`sample_outcome`.
     """
     state = as_state(state)
     n = num_qubits(state)
@@ -235,19 +262,7 @@ def measure_qubit(
     psi = np.moveaxis(state.reshape([2] * n), qubit, 0).reshape(2, -1)
     branches = [m0.conj() @ psi, m1.conj() @ psi]
     probs = [float(np.vdot(b, b).real) for b in branches]
-
-    if forced is not None:
-        if forced not in (0, 1):
-            raise ValueError("forced outcome must be 0 or 1")
-        outcome = forced
-        if probs[outcome] < BRANCH_TOL:
-            raise ImpossibleBranchError(
-                f"forced branch {forced} has probability {probs[outcome]:.3e}"
-            )
-    else:
-        if rng is None:
-            raise ValueError("either rng or forced must be given")
-        outcome = 0 if rng.random() < probs[0] else 1
+    outcome = sample_outcome(*probs, rng, forced)
     p = probs[outcome]
     if n == 1:
         post = (m0, m1)[outcome].copy()

@@ -3,7 +3,8 @@
 Every stochastic entry point takes a single integer seed.  Independent
 streams for sub-tasks (trials, attempts, scan points) are derived with
 :func:`derive_rng` so that results are bit-for-bit reproducible and
-insensitive to the order in which sub-tasks run.
+insensitive to the order in which sub-tasks run.  Outcomes are drawn from
+a stream by the one rule stated in :func:`adqcsim.qmath.sample_outcome`.
 """
 
 from __future__ import annotations

@@ -82,10 +82,12 @@ def run_walk(cfg: WalkConfig, rng: np.random.Generator) -> WalkResult:
 
     RNG contract: the walk draws ``rng.random(4096)`` chunks, the next one
     only once the walk has used every draw of the last, and step k applies
-    ``u0`` when the k-th draw is below ``p0``.  So step counts and hits are
-    those of the step-by-step product V_k = g_k V_(k-1), unless a distance
-    lies within rounding error of epsilon.  ``final_distance`` comes from a
-    differently ordered product and may differ from it in the last digits.
+    ``u0`` when the k-th draw is below ``p0`` (``buf >= p0`` is the rule of
+    :func:`~adqcsim.qmath.sample_outcome` for a block of draws).  So step
+    counts and hits are those of the step-by-step product V_k = g_k V_(k-1),
+    unless a distance lies within rounding error of epsilon.
+    ``final_distance`` comes from a differently ordered product and may
+    differ from it in the last digits.
 
     Gates and target are reduced to SU(2) pairs (a, b), the matrices
     [[a, b], [-conj(b), conj(a)]]: dividing out sqrt(det) changes only a

@@ -20,7 +20,7 @@ from adqcsim.egg import (
     delta_phi_raw,
     find_balanced_beta,
     outcome_probabilities,
-    simulate_rus_attempts,
+    run_rus,
     spherical_point,
     success_probability,
     vertical_plane_check,
@@ -80,7 +80,10 @@ def test_rus_success_probability():
     beta_star = find_balanced_beta(ALPHA)
     p = success_probability(ALPHA, beta_star)
     n = 100_000
-    freq = simulate_rus_attempts(ALPHA, beta_star, n, seed=SEED).mean()
+    # the first n attempts of run_rus over per-trial streams, as egg-rus runs it
+    logs = (run_rus(ALPHA, beta_star, derive_rng(SEED, t)).log for t in itertools.count())
+    attempts = itertools.islice(itertools.chain.from_iterable(logs), n)
+    freq = sum(rec.success for rec in attempts) / n
     sigma = math.sqrt(p * (1.0 - p) / n)
     elapsed = time.perf_counter() - t0
     ok = abs(p - 0.128) <= 0.005 and abs(freq - p) <= 3 * sigma and elapsed < 10.0

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 
 import numpy as np
@@ -385,3 +386,49 @@ def test_version_flag(capsys):
         cli.main(["--version"])
     assert exc.value.code == 0
     assert adqcsim.__version__ in capsys.readouterr().out
+
+
+def _digest(values) -> str:
+    return hashlib.sha256(",".join(str(int(v)) for v in values).encode()).hexdigest()
+
+
+# sha256 of integer outcome columns, one fixed seed each.  They change only
+# with the RNG contract: how streams are derived and how outcomes are drawn
+# from them.  Integer columns only, so no digest depends on libm's last digits.
+RNG_CONTRACT_DIGESTS = {
+    "walk one-param steps": "b30471b798f11e64cde40d83739261d7f4ca91bf5774938dafd37422b898eb63",
+    "walk one-param hits": "03e89df38a0a78730a30d4fa99a1642190bcb04af99ddcedad58fbd039c5ad35",
+    "walk two-param steps": "b9d633d54e7c47e1e1f4259cbccd40b3adac4e45f6542a3e919560dd9db6fbf6",
+    "walk two-param hits": "b2ca170418db2f1d3294b6364e438db3e02e7c0403f555a6776a0c2054d80e23",
+    "measure labels": "d4d39310001f64c9e85eee64cfc6416543517bc438f7a510f7d57443f7ea6ec6",
+    "measure steps": "f7ee2a60c97d1e585656b21acb7d8f5c7bac113ce53fd39f4ff6f798cd35a948",
+    "egg-rus attempts": "ef641131fb54d4d46d61fe3f01a31e5f37bf02de452859cd5f1d9a11e4cdcb28",
+    "egg-rus outcome pairs": "db6de53b17370764f01fb6f1790e31941f34d67bb5b361761508535a51b93c2a",
+}
+
+
+def test_rng_contract_digests(capsys, tmp_path):
+    got = {}
+    for preset in WALK_PRESETS:
+        # --max-steps cuts about half the walks off, so the hit column varies
+        run(capsys, "walk", "--preset", preset, "--trials", "40", "--seed", "11",
+            "--max-steps", "5000", "--format", "csv", "--out-dir", str(tmp_path / preset))
+        lines = (tmp_path / preset / "walk.csv").read_text().splitlines()[1:]
+        rows = [line.split(",") for line in lines]
+        got[f"walk {preset} steps"] = _digest(r[1] for r in rows)
+        got[f"walk {preset} hits"] = _digest(r[2] for r in rows)
+    run(capsys, "measure", "--trials", "400", "--seed", "12", "--format", "csv",
+        "--out-dir", str(tmp_path / "measure"))
+    lines = (tmp_path / "measure" / "measure.csv").read_text().splitlines()[1:]
+    rows = [line.split(",") for line in lines]
+    got["measure labels"] = _digest(r[1] for r in rows)
+    got["measure steps"] = _digest(r[2] for r in rows)
+    run(capsys, "egg-rus", "--trials", "200", "--seed", "13",
+        "--out-dir", str(tmp_path / "rus"))
+    trials = json.loads((tmp_path / "rus" / "egg-rus.json").read_text())["trials"]
+    got["egg-rus attempts"] = _digest(t["attempts"] for t in trials)
+    log = [rec for t in trials for rec in t["log"]]
+    got["egg-rus outcome pairs"] = _digest(
+        m for rec in log for m in (rec["outcome_first"], rec["outcome_second"])
+    )
+    assert got == RNG_CONTRACT_DIGESTS

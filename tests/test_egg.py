@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -27,7 +29,6 @@ from adqcsim.egg import (
     plane_coefficients,
     register_unitary,
     run_rus,
-    simulate_rus_attempts,
     spherical_point,
     success_probability,
     symmetric_config,
@@ -469,6 +470,10 @@ def test_run_rus_log_structure():
         assert last.success
         assert last.outcome_first != last.outcome_second
         assert abs(abs(last.combined_phase) - np.pi) < 1e-6
+    # the same stream gives the same result
+    assert run_rus(ALPHA, beta_star, derive_rng(101, 1)) == run_rus(
+        ALPHA, beta_star, derive_rng(101, 1)
+    )
 
 
 def test_run_rus_rejects_unbalanced_beta():
@@ -489,13 +494,15 @@ def test_run_rus_mean_attempts():
     assert abs(mean - 1.0 / p) < 4 * sigma
 
 
-def test_simulate_rus_attempts():
-    a = simulate_rus_attempts(ALPHA, 0.18, 5000, seed=7)
-    b = simulate_rus_attempts(ALPHA, 0.18, 5000, seed=7)
-    np.testing.assert_array_equal(a, b)
-    p = success_probability(ALPHA, 0.18)
-    freq = a.mean()
-    sigma = np.sqrt(p * (1 - p) / a.size)
+def test_run_rus_success_rate():
+    # the first n attempts of run_rus over per-trial streams, as egg-rus runs it
+    beta_star = find_balanced_beta(ALPHA)
+    n = 5000
+    logs = (run_rus(ALPHA, beta_star, derive_rng(7, t)).log for t in itertools.count())
+    attempts = list(itertools.islice(itertools.chain.from_iterable(logs), n))
+    p = success_probability(ALPHA, beta_star)
+    freq = np.mean([rec.success for rec in attempts])
+    sigma = np.sqrt(p * (1 - p) / n)
     assert abs(freq - p) < 4 * sigma
 
 

@@ -16,6 +16,7 @@ from adqcsim.measure import (
     weak_step,
 )
 from adqcsim.qmath import (
+    ImpossibleBranchError,
     basis_state,
     bloch_to_state,
     computational_basis,
@@ -93,8 +94,12 @@ def test_weak_step_probabilities_and_posts():
 
     with pytest.raises(ValueError):
         weak_step(plus_state(), theta)  # no rng and no forced outcome
-    with pytest.raises(ValueError):
+    with pytest.raises(ImpossibleBranchError):
         weak_step(basis_state(1), np.pi, forced=0)  # zero-probability branch
+    with pytest.raises(ImpossibleBranchError):
+        weak_step(basis_state(0), np.pi / 4, forced=1)  # zero-probability branch
+    with pytest.raises(ValueError, match="forced outcome must be 0 or 1"):
+        weak_step(plus_state(), np.pi / 4, forced=2)
 
 
 def test_weak_step_projective_limit():
@@ -148,9 +153,8 @@ def test_run_measurement_label_one():
     assert res.label == 1
     assert res.residual_bound == 0.0
     np.testing.assert_array_equal(res.post_state, basis_state(1))
-    assert res.outcome_string.endswith("1")
-    assert set(res.outcome_string[:-1]) <= {"0"}
-    assert res.steps_used == len(res.outcome_string) <= cfg.n_steps
+    # rounds 1 .. steps_used - 1 read 0 and the last one read 1
+    assert 1 <= res.steps_used <= cfg.n_steps
 
 
 def test_run_measurement_label_zero():
@@ -158,7 +162,6 @@ def test_run_measurement_label_zero():
     res = run_measurement(basis_state(0), cfg, derive_rng(58, 0))
     assert res.label == 0
     assert res.steps_used == 38
-    assert res.outcome_string == "0" * 38
     assert abs(res.residual_bound - np.cos(np.pi / 8) ** 38) < 1e-14
     assert res.residual_bound <= 0.05
     np.testing.assert_allclose(res.post_state, basis_state(0), atol=1e-12)
@@ -200,9 +203,9 @@ def test_ensemble_determinism_and_frequency():
     cfg = MeasureConfig(theta=THETA, epsilon=0.05, seed=61)
     a = measurement_ensemble(state, cfg, 400)
     b = measurement_ensemble(state, cfg, 400)
-    assert [r.outcome_string for r in a] == [r.outcome_string for r in b]
+    assert [(r.label, r.steps_used) for r in a] == [(r.label, r.steps_used) for r in b]
     direct = run_measurement(state, cfg, derive_rng(61, 13))
-    assert a[13].outcome_string == direct.outcome_string
+    assert (a[13].label, a[13].steps_used) == (direct.label, direct.steps_used)
     p_one = 0.3 * (1 - np.cos(np.pi / 8) ** 76)
     freq = np.mean([r.label for r in a])
     sigma = np.sqrt(p_one * (1 - p_one) / 400)

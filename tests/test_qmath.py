@@ -25,6 +25,7 @@ from adqcsim.qmath import (
     rx,
     ry,
     rz,
+    sample_outcome,
     state_to_bloch,
     tensor,
     trace_distance,
@@ -220,6 +221,37 @@ def test_measure_forced_impossible_branch():
         measure_qubit(basis_state(0), 0, (basis_state(0), basis_state(1)), forced=1)
     with pytest.raises(ValueError):
         measure_qubit(basis_state(0), 0, (basis_state(0), basis_state(1)))
+
+
+class _FixedDraw:
+    """A generator stub whose every draw is ``u``."""
+
+    def __init__(self, u: float):
+        self.u = u
+
+    def random(self) -> float:
+        return self.u
+
+
+def test_sample_outcome_rule():
+    # one draw per outcome, and outcome 0 iff the draw is below p0
+    rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+    for p0 in np.linspace(0.0, 1.0, 41):
+        for _ in range(25):
+            assert sample_outcome(p0, 1.0 - p0, rng) == int(twin.random() >= p0)
+    assert sample_outcome(0.3, 0.7, _FixedDraw(0.3)) == 1
+    assert sample_outcome(0.3, 0.7, _FixedDraw(0.2999)) == 0
+    assert sample_outcome(0.3, 0.7, _FixedDraw(0.9), forced=0) == 0
+    # a branch below BRANCH_TOL is refused whether it is forced or sampled
+    with pytest.raises(ImpossibleBranchError):
+        sample_outcome(1.0, 0.0, forced=1)
+    with pytest.raises(ImpossibleBranchError):
+        sample_outcome(0.5, 1e-15, _FixedDraw(0.75))
+    for forced in (2, -1, 0.5):
+        with pytest.raises(ValueError, match="forced outcome must be 0 or 1"):
+            sample_outcome(0.5, 0.5, forced=forced)
+    with pytest.raises(ValueError, match="either rng or forced"):
+        sample_outcome(0.5, 0.5)
 
 
 def test_measure_requires_orthogonal_basis():
