@@ -62,6 +62,22 @@ EXIT_IO = 4
 
 CLI_CLASS_TOL = 1e-6
 
+# kraus flags with their defaults, and the flags each preset does not read;
+# kraus rejects any other value of an unread flag, so that a contradictory
+# command cannot exit 0.  A walk preset pins interaction, ancilla and basis.
+KRAUS_DEFAULTS = {
+    "params": [0.0, 0.0, np.pi / 16],
+    "ancilla": [np.pi / 2, 0.0],
+    "basis": "computational",
+    "theta": np.pi / 4,
+}
+KRAUS_IGNORED = {
+    **dict.fromkeys(WALK_PRESETS, ("params", "ancilla", "basis", "theta")),
+    "deterministic": ("params", "theta"),
+    "weak": ("params", "ancilla", "basis"),
+    "none": ("theta",),
+}
+
 
 class NoHits(ValueError):
     """A walk ensemble without a single hit has no histogram to plot."""
@@ -151,7 +167,9 @@ def _kraus_inputs(args: argparse.Namespace):
 
 
 def _cmd_kraus(args: argparse.Namespace) -> tuple[dict, str]:
-    # a walk preset pins interaction, ancilla and basis to the walk's own
+    for name in KRAUS_IGNORED[args.preset]:
+        if getattr(args, name) != KRAUS_DEFAULTS[name]:
+            raise ValueError(f"--{name} has no effect under --preset {args.preset}")
     e, ancilla, basis = WALK_PRESETS.get(args.preset) or _kraus_inputs(args)
     outcomes = kraus_for(e, ancilla, basis)
     return _echo(
@@ -334,15 +352,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kraus", help="measurement-induced register operators")
     p.add_argument(
         "--preset",
-        choices=(*WALK_PRESETS, "deterministic", "weak", "none"),
+        choices=tuple(KRAUS_IGNORED),
         default="none",
     )
-    p.add_argument("--params", type=float, nargs=3, default=[0.0, 0.0, np.pi / 16],
+    p.add_argument("--params", type=float, nargs=3, default=KRAUS_DEFAULTS["params"],
                    metavar=("AX", "AY", "AZ"))
-    p.add_argument("--ancilla", type=float, nargs=2, default=[np.pi / 2, 0.0],
+    p.add_argument("--ancilla", type=float, nargs=2, default=KRAUS_DEFAULTS["ancilla"],
                    metavar=("THETA", "PHI"), help="ancilla Bloch angles")
-    p.add_argument("--basis", choices=("computational", "x"), default="computational")
-    p.add_argument("--theta", type=float, default=np.pi / 4,
+    p.add_argument("--basis", choices=("computational", "x"),
+                   default=KRAUS_DEFAULTS["basis"])
+    p.add_argument("--theta", type=float, default=KRAUS_DEFAULTS["theta"],
                    help="C-Rz angle for the weak preset")
     common(p)
     p.set_defaults(func=_cmd_kraus)

@@ -1,7 +1,7 @@
 """Entangling gate generation with one ancilla and two weak interactions.
 
 One ancilla qubit interacts in turn with two register qubits through
-exp(-i a ZZ) couplings, with a fixed one-qubit gate in between, and is then
+exp(-i a ZZ) couplings, with the fixed gate rx(pi/2) in between, and is then
 measured.  Each register basis pair (i, j) steers the ancilla to one of
 four final states |a_ij>.  When those four Bloch points lie on a circle,
 measuring along the circle's axis (the midpoint state) extracts no register
@@ -25,14 +25,13 @@ constructions on the Bloch sphere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .qmath import (
     BlochPoint,
     as_state,
-    as_unitary,
     bloch_to_state,
     plus_state,
     rx,
@@ -48,6 +47,7 @@ MAGNITUDE_TOL = 1e-8
 DISTINCT_POINT_TOL = 1e-9
 COLLINEAR_TOL = 1e-12
 SCAN_SAMPLES = 512
+BALANCE_TOL = 1e-10
 
 
 class EggError(ValueError):
@@ -105,20 +105,18 @@ def theta_prep_for_beta(beta: float, alpha: float) -> float:
 
 @dataclass(frozen=True)
 class EggConfig:
-    """Coupling, preparation and intermediate gate for one protocol run.
+    """Coupling and preparation for one protocol run.
 
     ``theta_prep`` is the ancilla's preparation polar angle, which sets the
-    effective split :attr:`beta`; ``intermediate`` is the ancilla gate
-    applied between the two interactions.
+    effective split :attr:`beta`; the ancilla gate between the two
+    interactions is always rx(pi/2).
     """
 
     alpha: float
     theta_prep: float = np.pi / 2
-    intermediate: np.ndarray = field(default_factory=lambda: rx(np.pi / 2))
 
     def __post_init__(self):
         _check_split(self.alpha)
-        as_unitary(self.intermediate)
 
     @property
     def beta(self) -> float:
@@ -126,7 +124,7 @@ class EggConfig:
 
 
 def symmetric_config(alpha: float, beta: float | None = None) -> EggConfig:
-    """The symmetric preset: equatorial ring, intermediate rx(pi/2).
+    """The symmetric preset: equatorial ring.
 
     ``beta`` defaults to its maximum value alpha (preparation |+> on the
     equator); smaller values tilt the preparation toward the pole.
@@ -141,53 +139,33 @@ def symmetric_config(alpha: float, beta: float | None = None) -> EggConfig:
 
 @dataclass(frozen=True)
 class AncillaTrajectory:
-    """Intermediate and final ancilla states of one protocol configuration.
+    """Final ancilla states of one protocol configuration.
 
-    ``final_states`` is indexed by (i, j) = (first register bit, second
-    register bit) flattened row-major.  ``cap_half_angle`` is half the
-    angular radius of the ring when the four Bloch points are concircular,
-    else None.
+    The ancilla passes the first coupling, rx(pi/2) and the second
+    coupling.  ``final_states`` is indexed by (i, j) = (first register bit,
+    second register bit) flattened row-major.
     """
 
-    intermediate_states: tuple[np.ndarray, np.ndarray]
     final_states: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     bloch: tuple[BlochPoint, BlochPoint, BlochPoint, BlochPoint]
-    cap_half_angle: float | None
 
 
 def final_ancilla_states(cfg: EggConfig) -> AncillaTrajectory:
-    """Drive the ancilla through both interactions for all register branches.
+    """The symmetric family |a_ij> = rz((-1)^j 2 alpha) rx(pi/2) rz((-1)^i 2 beta) |+>.
 
-    The first coupling is absorbed into the effective-split form: the
-    intermediate state for first-register bit i is
-    ``intermediate . rz((-1)^i 2 beta) |+>``, and the second coupling
-    contributes rz((-1)^j 2 alpha).  For the default intermediate rx(pi/2)
-    this reproduces the exact symmetric trajectory including per-branch
-    phases.
+    The first coupling and the preparation at ``theta_prep`` are folded
+    into the effective split beta.  Against the three-qubit circuit
+    (ancilla prepared at ``theta_prep``, coupled to register qubit 1,
+    rotated by rx(pi/2), coupled to qubit 2) this family has the same
+    |Gram| matrix, so the same ring, and the same midpoint outcome
+    probabilities and Phi.  The per-branch states themselves are the
+    circuit's only when ``theta_prep`` is pi/2.
     """
-    beta = cfg.beta
-    inter = tuple(
-        cfg.intermediate @ rz(sign * 2 * beta) @ plus_state()
-        for sign in (+1, -1)
-    )
+    inter = [rx(np.pi / 2) @ rz(si * 2 * cfg.beta) @ plus_state() for si in (+1, -1)]
     finals = tuple(
-        rz(sj * 2 * cfg.alpha) @ inter[i]
-        for i in (0, 1)
-        for sj in (+1, -1)
+        rz(sj * 2 * cfg.alpha) @ inter[i] for i in (0, 1) for sj in (+1, -1)
     )
-    bloch = tuple(state_to_bloch(s) for s in finals)
-    cap = _cap_half_angle(bloch)
-    return AncillaTrajectory(inter, finals, bloch, cap)
-
-
-def _cap_half_angle(bloch: tuple[BlochPoint, ...]) -> float | None:
-    """Half the ring's angular radius, or None when it is not defined."""
-    pts = [b.cartesian for b in bloch]
-    try:
-        axis, height = _ring_axis(pts)
-    except EggError:
-        return None
-    return float(np.arccos(np.clip(height, -1.0, 1.0)) / 2)
+    return AncillaTrajectory(finals, tuple(state_to_bloch(s) for s in finals))
 
 
 def _distinct_points(pts: list[np.ndarray]) -> list[np.ndarray]:
@@ -198,14 +176,12 @@ def _distinct_points(pts: list[np.ndarray]) -> list[np.ndarray]:
     return out
 
 
-def _ring_axis(
-    pts: list[np.ndarray], tol: float = COPLANAR_TOL
-) -> tuple[np.ndarray, float]:
+def _ring_axis(pts: list[np.ndarray]) -> tuple[np.ndarray, float]:
     """Unit normal of the common ring plane, oriented to non-negative height.
 
     Raises DegenerateRing for fewer than three distinct points and
     NotCoplanar when any point leaves the plane of the first three distinct
-    ones by more than ``tol``.
+    ones by more than ``COPLANAR_TOL``.
     """
     distinct = _distinct_points(pts)
     if len(distinct) < 3:
@@ -214,7 +190,7 @@ def _ring_axis(
     n = np.array([coeffs.a, coeffs.b, coeffs.c])
     norm = np.linalg.norm(n)
     for p in pts:
-        if abs(float(n @ p) + coeffs.d) / norm > tol:
+        if abs(float(n @ p) + coeffs.d) / norm > COPLANAR_TOL:
             raise NotCoplanar("final ancilla states are not concircular")
     n_hat = n / norm
     height = float(np.mean([n_hat @ p for p in pts]))
@@ -238,9 +214,7 @@ class MidpointBasis:
     cap_half_angle: float
 
 
-def midpoint_measurement(
-    t: AncillaTrajectory, tol: float = COPLANAR_TOL
-) -> MidpointBasis:
+def midpoint_measurement(t: AncillaTrajectory) -> MidpointBasis:
     """Basis whose first state sits at the midpoint of the ancilla ring.
 
     The plane of the four Bloch points fixes the axis; the hemisphere is
@@ -248,7 +222,7 @@ def midpoint_measurement(
     cap half-angle gamma / 2 at most pi / 4.
     """
     pts = [b.cartesian for b in t.bloch]
-    n_hat, height = _ring_axis(pts, tol)
+    n_hat, height = _ring_axis(pts)
 
     theta = float(np.arccos(np.clip(n_hat[2], -1.0, 1.0)))
     phi = 0.0 if min(abs(n_hat[2] - 1), abs(n_hat[2] + 1)) < 1e-12 else float(
@@ -259,7 +233,7 @@ def midpoint_measurement(
 
     expected = (1.0 + height) / 2.0
     overlaps = [abs(np.vdot(m, s)) ** 2 for s in t.final_states]
-    if max(abs(o - expected) for o in overlaps) > max(tol, 1e-12) * 10:
+    if max(abs(o - expected) for o in overlaps) > 10 * COPLANAR_TOL:
         raise NotCoplanar("midpoint overlaps are not uniform")
     gamma = float(np.arccos(np.clip(height, -1.0, 1.0)))
     return MidpointBasis(m, m_perp, n_hat, height, gamma / 2)
@@ -285,15 +259,13 @@ class EggOutcome:
 
 
 def register_unitary(
-    t: AncillaTrajectory,
-    basis: tuple[np.ndarray, np.ndarray],
-    tol: float = MAGNITUDE_TOL,
+    t: AncillaTrajectory, basis: tuple[np.ndarray, np.ndarray]
 ) -> tuple[EggOutcome, EggOutcome]:
     """Diagonal back-action phases for both outcomes of the given basis.
 
     Raises UnequalMagnitudes when the overlap magnitudes of one outcome
-    differ, i.e. the measurement would leak register information and the
-    conditional evolution would not be unitary.
+    differ by more than ``MAGNITUDE_TOL``, i.e. the measurement would leak
+    register information and the conditional evolution would not be unitary.
     """
     outcomes = []
     for idx, m in enumerate(basis):
@@ -301,7 +273,7 @@ def register_unitary(
         c = np.array([np.vdot(m, s) for s in t.final_states]).reshape(2, 2)
         mags = np.abs(c)
         p = float(np.mean(mags**2))
-        if mags.max() - mags.min() > tol:
+        if mags.max() - mags.min() > MAGNITUDE_TOL:
             raise UnequalMagnitudes(
                 f"outcome {idx} overlap magnitudes spread {mags.max() - mags.min():.3e}"
             )
@@ -456,16 +428,13 @@ def phi_scan(
     ]
 
 
-def find_balanced_beta(
-    alpha: float,
-    beta_max: float | None = None,
-    tol: float = 1e-10,
-) -> float:
+def find_balanced_beta(alpha: float, beta_max: float | None = None) -> float:
     """Root of delta_phi_raw(alpha, beta) = pi by scan plus bisection.
 
     Scans the interval [0, beta_max] (default beta_max = alpha) with 512
     samples for a sign change of delta_phi_raw - pi and bisects it down to
-    ``tol`` in beta.  Raises NoRoot when the curve does not cross pi there.
+    ``BALANCE_TOL`` in beta.  Raises NoRoot when the curve does not cross pi
+    there.
     """
     _check_split(alpha)
     hi = alpha if beta_max is None else float(beta_max)
@@ -492,7 +461,7 @@ def find_balanced_beta(
         )
     lo_b, hi_b = bracket
     flo = f(lo_b)
-    while hi_b - lo_b > tol:
+    while hi_b - lo_b > BALANCE_TOL:
         mid = 0.5 * (lo_b + hi_b)
         fm = f(mid)
         if fm == 0.0:

@@ -57,16 +57,16 @@ _KIND_BY_COUNT = {
 
 @dataclass(frozen=True)
 class InteractionClass:
-    """Classification result: kind plus special-class flags."""
+    """Classification result: kind plus special-class flags.
+
+    ``kind`` carries the count of canonical parameters above the ``tol``
+    that :func:`classify` was given.
+    """
 
     kind: InteractionKind
     params: CanonicalParams
     is_cz_class: bool
     is_cz_swap_class: bool
-
-    @property
-    def n_nonzero(self) -> int:
-        return sum(1 for a in self.params if a > NONZERO_TOL)
 
 
 @dataclass(frozen=True)

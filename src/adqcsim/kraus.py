@@ -56,14 +56,12 @@ class KrausOutcome:
         return as_unitary(self.operator / np.sqrt(self.probability))
 
 
-def is_proportional_unitary(
-    k: np.ndarray, tol: float = PROP_UNITARY_TOL
-) -> tuple[bool, float]:
-    """Test K K^dag = p I; returns (verdict, p) with p = Tr(K K^dag)/2."""
+def is_proportional_unitary(k: np.ndarray) -> tuple[bool, float]:
+    """Test K K^dag = p I within PROP_UNITARY_TOL; returns (verdict, Tr(K K^dag)/2)."""
     k = np.asarray(k, dtype=complex)
     kk = k @ k.conj().T
     p = float(kk.trace().real) / k.shape[0]
-    ok = bool(np.linalg.norm(kk - p * np.eye(k.shape[0])) < tol)
+    ok = bool(np.linalg.norm(kk - p * np.eye(k.shape[0])) < PROP_UNITARY_TOL)
     return ok, p
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .qmath import (
     as_state,
-    as_unitary,
+    as_unitary,  # unused; kept as a binding bench/tracing.py wraps
     basis_state,
     c_rz,
     hadamard,
@@ -98,19 +98,14 @@ def weak_step(
 
 @dataclass(frozen=True)
 class MeasureConfig:
-    """Coupling strength, fidelity target and chain-length override."""
+    """Coupling strength, fidelity target and base seed of a measurement chain."""
 
     theta: float
     epsilon: float = 0.05
     seed: int = 0
-    max_steps: int | None = None
 
     @property
     def n_steps(self) -> int:
-        if self.max_steps is not None:
-            if self.max_steps < 1:
-                raise ValueError("max_steps must be >= 1")
-            return self.max_steps
         return required_steps(self.theta, self.epsilon)
 
 
@@ -129,19 +124,10 @@ class MeasureResult:
 
 
 def run_measurement(
-    register: np.ndarray,
-    cfg: MeasureConfig,
-    rng: np.random.Generator,
-    pre_rotation: np.ndarray | None = None,
+    register: np.ndarray, cfg: MeasureConfig, rng: np.random.Generator
 ) -> MeasureResult:
-    """Chain up to n weak rounds, halting at the first 1 outcome.
-
-    ``pre_rotation`` maps measurements in other bases onto this one by a
-    local register gate applied before the chain.
-    """
+    """Chain up to n weak rounds, halting at the first 1 outcome."""
     psi = as_state(register)
-    if pre_rotation is not None:
-        psi = as_unitary(pre_rotation) @ psi
     n = cfg.n_steps
     for step in range(1, n + 1):
         outcome, psi, _ = weak_step(psi, cfg.theta, rng)

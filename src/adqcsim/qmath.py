@@ -121,29 +121,26 @@ def x_basis() -> tuple[np.ndarray, np.ndarray]:
     return plus_state(), minus_state()
 
 
-def as_state(v: np.ndarray, tol: float = STATE_TOL) -> np.ndarray:
-    """Validate and return a unit-norm ket of dimension 2**n."""
+def as_state(v: np.ndarray) -> np.ndarray:
+    """Validate and return a ket of dimension 2**n, unit norm within ``STATE_TOL``."""
     v = np.asarray(v, dtype=complex).reshape(-1)
     n = v.size
     if n == 0 or n & (n - 1):
         raise ValueError(f"ket dimension {n} is not a power of two")
     # written so that a NaN norm fails too
-    if not abs(np.linalg.norm(v) - 1.0) <= tol:
+    if not abs(np.linalg.norm(v) - 1.0) <= STATE_TOL:
         raise ValueError("ket is not normalised")
     return v
 
 
-def is_unitary(m: np.ndarray, tol: float = UNITARY_TOL) -> bool:
+def as_unitary(m: np.ndarray) -> np.ndarray:
+    """Validate and return a square matrix, unitary within ``UNITARY_TOL``."""
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        return False
-    return bool(np.linalg.norm(m @ m.conj().T - np.eye(m.shape[0])) < tol)
-
-
-def as_unitary(m: np.ndarray, tol: float = UNITARY_TOL) -> np.ndarray:
-    """Validate and return a unitary matrix (checked constructor)."""
-    m = np.asarray(m, dtype=complex)
-    if not is_unitary(m, tol):
+    if (
+        m.ndim != 2
+        or m.shape[0] != m.shape[1]
+        or not np.linalg.norm(m @ m.conj().T - np.eye(m.shape[0])) < UNITARY_TOL
+    ):
         raise ValueError("matrix is not unitary within tolerance")
     return m
 

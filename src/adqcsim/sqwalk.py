@@ -275,12 +275,10 @@ def fit_exponential(samples: list[int] | np.ndarray) -> float:
     return float(1.0 / m)
 
 
-def log_linear_r2(h: Histogram, min_count: int = 5) -> float:
-    """R^2 of a least-squares line through (center, ln count) for busy bins."""
+def log_linear_r2(h: Histogram) -> float:
+    """R^2 of a least-squares line through (center, ln count) for bins of 5+ counts."""
     pts = [
-        (c, l)
-        for (c, l), n in zip(log_bin_counts(h), h.counts[h.counts > 0])
-        if n >= min_count
+        (c, l) for (c, l), n in zip(log_bin_counts(h), h.counts[h.counts > 0]) if n >= 5
     ]
     if len(pts) < 3:
         raise ValueError("need at least 3 bins with enough counts")

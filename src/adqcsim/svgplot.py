@@ -21,17 +21,11 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def histogram_svg(
-    hist: Histogram,
-    rate: float | None = None,
-    title: str = "",
-    x_label: str = "steps",
-    y_label: str = "count",
-) -> str:
-    """Render bars and, when ``rate`` is given, the exponential overlay.
+def histogram_svg(hist: Histogram, rate: float | None = None, title: str = "") -> str:
+    """Render bars on axes labelled steps and count, plus the exponential overlay.
 
-    The overlay draws the expected bin counts of an exponential law with
-    the given rate, anchored at the histogram's left edge:
+    When ``rate`` is given, the overlay draws the expected bin counts of an
+    exponential law with that rate, anchored at the histogram's left edge:
     total * bin_width * rate * exp(-rate * (x - x0)).
     """
     edges = np.asarray(hist.bin_edges, dtype=float)
@@ -90,12 +84,12 @@ def histogram_svg(
     parts.append(axis)
     parts.append(
         f'<text x="{_WIDTH / 2}" y="{_HEIGHT - 12}" text-anchor="middle" '
-        f'font-family="monospace" font-size="12">{x_label}</text>'
+        'font-family="monospace" font-size="12">steps</text>'
     )
     parts.append(
         f'<text x="16" y="{_HEIGHT / 2}" text-anchor="middle" '
         f'font-family="monospace" font-size="12" '
-        f'transform="rotate(-90 16 {_HEIGHT / 2})">{y_label}</text>'
+        f'transform="rotate(-90 16 {_HEIGHT / 2})">count</text>'
     )
     for x, anchor in ((x0, "start"), (x1, "end")):
         parts.append(

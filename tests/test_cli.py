@@ -104,6 +104,27 @@ def test_echo_commands_write_nothing_without_out_dir(capsys, tmp_path, monkeypat
     assert list(tmp_path.iterdir()) == []
 
 
+def test_kraus_rejects_flags_the_preset_ignores(capsys, tmp_path):
+    cases = [
+        (("--preset", "one-param", "--ancilla", "nan", "0", "--basis", "x"), "--ancilla"),
+        (("--preset", "two-param", "--basis", "x"), "--basis"),
+        (("--preset", "one-param", "--params", "1", "2", "3"), "--params"),
+        (("--preset", "weak", "--params", "1", "2", "3"), "--params"),
+        (("--preset", "weak", "--ancilla", "0", "0"), "--ancilla"),
+        (("--preset", "deterministic", "--params", "1", "2", "3"), "--params"),
+        (("--preset", "deterministic", "--theta", "0.5"), "--theta"),
+        (("--preset", "two-param", "--theta", "0.5"), "--theta"),
+        (("--theta", "0.5"), "--theta"),
+    ]
+    for i, (argv, flag) in enumerate(cases):
+        out_dir = tmp_path / str(i)
+        code, out, err = run(capsys, "kraus", *argv, "--out-dir", str(out_dir))
+        assert code == 2, argv
+        assert json.loads(err)["message"].startswith(f"{flag} has no effect"), argv
+        assert out == "", argv
+        assert not out_dir.exists(), argv
+
+
 def test_kraus_explicit_params_zero_branch(capsys):
     code, out, _ = run(
         capsys, "kraus", "--params", "0", "0", "0.3", "--ancilla", "0", "0"

@@ -38,8 +38,8 @@ from adqcsim.egg import (
 from adqcsim.qmath import (
     apply,
     basis_state,
+    bloch_to_state,
     computational_basis,
-    haar_unitary,
     plus_state,
     rx,
     rz,
@@ -79,8 +79,6 @@ def test_config_validation():
         EggConfig(alpha=0.0)
     with pytest.raises(ValueError):
         EggConfig(alpha=np.pi / 4 + 0.01)
-    with pytest.raises(ValueError):
-        EggConfig(alpha=ALPHA, intermediate=np.diag([1.0, 0.5]))
     cfg = symmetric_config(ALPHA)
     assert abs(cfg.beta - ALPHA) < 1e-12
     cfg = symmetric_config(ALPHA, beta=0.1)
@@ -126,6 +124,41 @@ def test_trajectory_matches_three_qubit_circuit():
                 np.testing.assert_allclose(ancilla, finals[2 * i + j], atol=1e-12)
 
 
+def _circuit_trajectory(alpha: float, theta_prep: float) -> AncillaTrajectory:
+    # the ancilla, prepared at theta_prep, couples to register qubit 1, is
+    # rotated by rx(pi/2), then couples to qubit 2, both with angle alpha
+    finals = []
+    for i, j in itertools.product((0, 1), repeat=2):
+        psi = tensor(bloch_to_state(theta_prep, 0), basis_state(i), basis_state(j))
+        psi = apply(delta_gate(0, 0, alpha), psi, (0, 1))
+        psi = apply(rx(np.pi / 2), psi, 0)
+        psi = apply(delta_gate(0, 0, alpha), psi, (0, 2))
+        finals.append(psi.reshape(2, 2, 2)[:, i, j])
+    return _manual_trajectory(finals)
+
+
+def test_trajectory_matches_circuit_at_any_preparation():
+    # the effective-split family has the circuit's ring, outcome
+    # probabilities and Phi, though not its per-branch states
+    rng = np.random.default_rng(50)
+    for _ in range(30):
+        alpha = rng.uniform(0.01, np.pi / 4)
+        # away from the poles, where the ring shrinks to two points
+        theta_prep = rng.uniform(0.05, np.pi - 0.05)
+        model = final_ancilla_states(EggConfig(alpha, theta_prep))
+        circuit = _circuit_trajectory(alpha, theta_prep)
+        grams, outcomes = [], []
+        for t in (model, circuit):
+            states = np.array(t.final_states)
+            grams.append(np.abs(states.conj() @ states.T))
+            mb = midpoint_measurement(t)
+            outcomes.append(register_unitary(t, (mb.m, mb.m_perp)))
+        np.testing.assert_allclose(grams[0], grams[1], atol=1e-12)
+        for got, want in zip(*outcomes):
+            assert abs(got.probability - want.probability) < 1e-12
+            assert abs(wrap_angle(got.Phi - want.Phi)) < 1e-12
+
+
 def test_zero_beta_collapses_first_index():
     t = final_ancilla_states(symmetric_config(ALPHA, beta=0.0))
     np.testing.assert_allclose(t.final_states[0], t.final_states[2], atol=1e-12)
@@ -135,11 +168,11 @@ def test_zero_beta_collapses_first_index():
 def test_cap_half_angle_consistency():
     t = final_ancilla_states(symmetric_config(ALPHA))
     mb = midpoint_measurement(t)
-    assert t.cap_half_angle is not None
-    assert abs(t.cap_half_angle - mb.cap_half_angle) < 1e-12
-    # uniform overlap (1 + height)/2 equals the analytic outcome probability
+    # uniform overlap (1 + height)/2 = cos^2 of the cap half-angle equals
+    # the analytic outcome probability
     p_plus, _ = outcome_probabilities(ALPHA, ALPHA)
     assert abs((1 + mb.height) / 2 - p_plus) < 1e-10
+    assert abs(np.cos(mb.cap_half_angle) ** 2 - p_plus) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -156,13 +189,10 @@ def test_symmetric_midpoint_is_plus():
 
 
 def _manual_trajectory(states) -> AncillaTrajectory:
-    bloch = tuple(state_to_bloch(s) for s in states)
-    return AncillaTrajectory((states[0], states[2]), tuple(states), bloch, None)
+    return AncillaTrajectory(tuple(states), tuple(state_to_bloch(s) for s in states))
 
 
 def test_horizontal_ring_midpoint_is_pole():
-    from adqcsim.qmath import bloch_to_state
-
     theta = 0.8
     states = [bloch_to_state(theta, phi) for phi in (0, np.pi / 2, np.pi, 3 * np.pi / 2)]
     mb = midpoint_measurement(_manual_trajectory(states))
@@ -178,8 +208,6 @@ def test_degenerate_ring_raises():
 
 
 def test_off_plane_point_raises():
-    from adqcsim.qmath import bloch_to_state
-
     states = [bloch_to_state(0.8, phi) for phi in (0, np.pi / 2, np.pi)]
     states.append(bloch_to_state(0.8 + 1e-4, 3 * np.pi / 2))
     with pytest.raises(NotCoplanar):
@@ -268,64 +296,6 @@ def test_phase_invariance_under_alpha_shifts():
     n0, n1 = register_unitary(negated, (mbn.m, mbn.m_perp))
     assert abs(wrap_angle(n0.Phi + b_plus.Phi)) < 1e-8
     assert abs(wrap_angle(n1.Phi + b_minus.Phi)) < 1e-8
-
-
-def _closed_form_defect(t: AncillaTrajectory, alpha: float) -> float:
-    b0 = state_to_bloch(t.intermediate_states[0])
-    b1 = state_to_bloch(t.intermediate_states[1])
-    return constrained_distance(
-        b0.theta, b1.theta, b0.phi + 2 * alpha, b0.phi - 2 * alpha,
-        b1.phi + 2 * alpha, b1.phi - 2 * alpha,
-    )
-
-
-def test_generic_intermediates_break_coplanarity():
-    # a Haar-random gate between the couplings generically leaves the four
-    # final points off any common plane; the determinant distance and the
-    # closed-form defect must agree on that
-    rng = np.random.default_rng(45)
-    broken = 0
-    for _ in range(30):
-        alpha = rng.uniform(0.1, np.pi / 4)
-        beta = rng.uniform(0.1 * alpha, alpha)
-        theta = theta_prep_for_beta(beta, alpha)
-        cfg = EggConfig(alpha=alpha, theta_prep=theta, intermediate=haar_unitary(2, rng))
-        t = final_ancilla_states(cfg)
-        pts = [b.cartesian for b in t.bloch]
-        try:
-            det = coplanarity_distance(*pts)
-        except CollinearPoints:
-            continue
-        assert abs(abs(_closed_form_defect(t, alpha)) - det) < 1e-9
-        if det < 1e-9:
-            continue
-        assert t.cap_half_angle is None
-        with pytest.raises(NotCoplanar):
-            midpoint_measurement(t)
-        broken += 1
-    assert broken > 20
-
-
-def test_z_sandwiched_intermediates_stay_coplanar():
-    # any rz . rx(pi/2) . rz intermediate pins the post-gate azimuths to a
-    # common meridian (mod pi), so the ring always admits a midpoint basis
-    rng = np.random.default_rng(50)
-    for _ in range(30):
-        alpha = rng.uniform(0.1, np.pi / 4)
-        beta = rng.uniform(0.1 * alpha, alpha)
-        theta = theta_prep_for_beta(beta, alpha)
-        chi, xi = rng.uniform(-np.pi, np.pi, 2)
-        gate = rz(chi) @ rx(np.pi / 2) @ rz(xi)
-        cfg = EggConfig(alpha=alpha, theta_prep=theta, intermediate=gate)
-        t = final_ancilla_states(cfg)
-        assert abs(_closed_form_defect(t, alpha)) < 1e-9
-        try:
-            mb = midpoint_measurement(t)
-        except DegenerateRing:
-            continue
-        assert t.cap_half_angle is not None
-        o0, o1 = register_unitary(t, (mb.m, mb.m_perp))
-        assert abs(o0.probability + o1.probability - 1.0) < 1e-10
 
 
 # ---------------------------------------------------------------------------

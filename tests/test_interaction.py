@@ -2,9 +2,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from adqcsim.interaction import (
+    NONZERO_TOL,
     CanonicalParams,
     InteractionKind,
     InteractionSpec,
@@ -71,15 +74,39 @@ def test_normalize_examples():
     assert moves == []
 
 
-def test_normalize_domain_and_idempotence():
-    rng = np.random.default_rng(23)
-    for _ in range(300):
-        raw = rng.uniform(-6, 6, 3)
-        p, _ = normalize_params(*raw)
-        assert np.pi / 4 + 1e-12 >= p.ax >= p.ay >= p.az >= 0.0
-        again, moves = normalize_params(*p)
-        np.testing.assert_allclose(tuple(again), tuple(p), atol=1e-12)
-        assert moves == []
+ANGLE = st.floats(-6, 6)
+
+
+@settings(max_examples=300)
+@given(ANGLE, ANGLE, ANGLE)
+def test_normalize_domain_and_idempotence(ax, ay, az):
+    p, _ = normalize_params(ax, ay, az)
+    assert np.pi / 4 + 1e-12 >= p.ax >= p.ay >= p.az >= 0.0
+    again, moves = normalize_params(*p)
+    assert tuple(again) == tuple(p)
+    assert moves == []
+
+
+@given(ANGLE, ANGLE, ANGLE, st.integers(0, 2), st.permutations(range(3)))
+def test_normalize_invariant_under_symmetry_moves(ax, ay, az, axis, order):
+    raw = [ax, ay, az]
+    canon = normalize_params(*raw)[0].as_array()
+
+    def on_axis(move):
+        return [move(a) if k == axis else a for k, a in enumerate(raw)]
+
+    moved = [
+        [a if k == axis else -a for k, a in enumerate(raw)],  # pairwise sign flip
+        on_axis(lambda a: a + np.pi / 2),
+        on_axis(lambda a: np.pi / 2 - a),  # reflection about pi/4
+        [raw[k] for k in order],
+    ]
+    for m in moved:
+        # a value within NONZERO_TOL above pi/4 is not reflected, so an input
+        # and its mirror image may land up to 2 NONZERO_TOL apart
+        np.testing.assert_allclose(
+            normalize_params(*m)[0].as_array(), canon, rtol=0, atol=2 * NONZERO_TOL
+        )
 
 
 def test_normalize_zero_snap():
@@ -202,5 +229,8 @@ def test_canonical_params_container():
     p = CanonicalParams(0.3, 0.2, 0.1)
     assert tuple(p) == (0.3, 0.2, 0.1)
     np.testing.assert_allclose(p.as_array(), [0.3, 0.2, 0.1])
-    assert classify(0.3, 0.2, 0.1).n_nonzero == 3
-    assert classify(0, 0, 0).n_nonzero == 0
+    assert classify(0.3, 0.2, 0.1).kind is InteractionKind.THREE_PARAMETER
+    assert classify(0, 0, 0).kind is InteractionKind.LOCAL
+    # canonical parameters at or below the caller's tol do not count
+    assert classify(1e-7, 0, 0, tol=1e-6).kind is InteractionKind.LOCAL
+    assert classify(0.3, 1e-7, 0, tol=1e-6).kind is InteractionKind.ONE_PARAMETER

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adqcsim.interaction import delta_gate
 from adqcsim.kraus import (
@@ -82,17 +84,17 @@ def test_is_proportional_unitary():
     assert ok and p == 0.0
 
 
-def test_completeness_of_branches():
-    # sum_m K_m^dag K_m = I for every interaction / ancilla / basis
-    rng = np.random.default_rng(31)
-    for _ in range(200):
-        e = haar_unitary(4, rng)
-        a = haar_state(rng, 1)
-        b = haar_unitary(2, rng)
-        basis = (b[:, 0], b[:, 1])
-        ops = kraus_for(e, a, basis)
-        total = sum(op.operator.conj().T @ op.operator for op in ops)
-        np.testing.assert_allclose(total, np.eye(2), atol=1e-12)
+@settings(max_examples=200)
+@given(st.integers(0, 2**32 - 1))
+def test_completeness_of_branches(seed):
+    # sum_m K_m^dag K_m = I for Haar interaction, ancilla and basis
+    rng = np.random.default_rng(seed)
+    e = haar_unitary(4, rng)
+    a = haar_state(rng, 1)
+    b = haar_unitary(2, rng)
+    ops = kraus_for(e, a, (b[:, 0], b[:, 1]))
+    total = sum(op.operator.conj().T @ op.operator for op in ops)
+    np.testing.assert_allclose(total, np.eye(2), atol=1e-12)
 
 
 def test_kraus_matches_full_state_evolution():

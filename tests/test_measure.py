@@ -140,9 +140,6 @@ def test_chain_closed_form():
 
 def test_measure_config_steps():
     assert MeasureConfig(theta=THETA, epsilon=0.05).n_steps == 38
-    assert MeasureConfig(theta=THETA, epsilon=0.05, max_steps=5).n_steps == 5
-    with pytest.raises(ValueError):
-        MeasureConfig(theta=THETA, max_steps=0).n_steps
     assert interaction_cost(38) == 76
     assert interaction_cost(MeasureConfig(theta=THETA).n_steps) == 76
 
@@ -173,14 +170,6 @@ def test_label_zero_post_state_within_residual():
         res = run_measurement(plus_state(), cfg, derive_rng(59, t))
         if res.label == 0:
             assert abs(res.post_state[1]) <= res.residual_bound + 1e-12
-
-
-def test_pre_rotation_maps_basis():
-    # measuring |+> after a Hadamard is measuring |0>: never clicks
-    cfg = MeasureConfig(theta=THETA, epsilon=0.05)
-    res = run_measurement(plus_state(), cfg, derive_rng(60, 0), pre_rotation=hadamard())
-    assert res.label == 0
-    np.testing.assert_allclose(res.post_state, basis_state(0), atol=1e-12)
 
 
 def test_mislabel_rate_for_one_input():
