@@ -233,10 +233,8 @@ def _cmd_walk(args: argparse.Namespace) -> tuple[dict, str]:
     )
     if args.svg:
         files["svg"] = histogram_svg(hist, rate, title=f"walk {args.preset}")
-    return files, (
-        f"walk: {len(steps)}/{args.trials} hits, mean steps "
-        f"{summary.get('mean_steps', float('nan')):.1f}\n"
-    )
+    mean = f", mean steps {summary['mean_steps']:.1f}" if steps else ""
+    return files, f"walk: {len(steps)}/{args.trials} hits{mean}\n"
 
 
 def _cmd_egg_scan(args: argparse.Namespace) -> tuple[dict, str]:

@@ -16,7 +16,9 @@ effective preparation split beta: starting from |+>, the trajectory is
 whose midpoint overlaps depend only on A = alpha + beta and B = alpha - beta.
 Repeat-until-success CZ generation runs two rounds per attempt (the second
 with the phase sign flipped) at the balanced point where the two outcome
-phases differ by pi.
+phases differ by pi: beta* = arctan(sin 2 alpha) / 2, where an attempt
+succeeds with probability sin^2 2 alpha / (1 + sin^2 2 alpha) (derived at
+:func:`find_balanced_beta`, which finds beta* to within ``BALANCE_TOL``).
 
 Geometric checks (plane through three points, distance of the fourth,
 closed-form distance under the symmetric constraints) follow determinant
@@ -117,6 +119,9 @@ class EggConfig:
 
     def __post_init__(self):
         _check_split(self.alpha)
+        # written so that a NaN theta_prep fails the check too
+        if not 0.0 <= self.theta_prep <= np.pi:
+            raise ValueError("theta_prep must lie in [0, pi]")
 
     @property
     def beta(self) -> float:
@@ -435,6 +440,18 @@ def find_balanced_beta(alpha: float, beta_max: float | None = None) -> float:
     samples for a sign change of delta_phi_raw - pi and bisects it down to
     ``BALANCE_TOL`` in beta.  Raises NoRoot when the curve does not cross pi
     there.
+
+    The root has a closed form.  Branch (0, 0) of :func:`analytic_overlaps`
+    gives, with A = alpha + beta and B = alpha - beta,
+
+        2 c+ conj(c-) = (cos A - i cos B)(i sin A - sin B)
+                      = sin 2 beta + i sin 2 alpha cos 2 beta,
+
+    so delta_phi_raw = 4 arg(sin 2 beta + i sin 2 alpha cos 2 beta), which
+    equals pi exactly at beta* = arctan(sin 2 alpha) / 2.  Since sin 2 alpha
+    <= tan 2 alpha, beta* <= alpha always, and the per-attempt success
+    probability there is sin^2 2 alpha / (1 + sin^2 2 alpha).  The tests
+    hold the numerical root to this value.
     """
     _check_split(alpha)
     hi = alpha if beta_max is None else float(beta_max)
@@ -585,9 +602,7 @@ def coplanarity_distance(
 
 
 def spherical_point(theta: float, phi: float) -> np.ndarray:
-    return np.array(
-        [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)]
-    )
+    return BlochPoint(theta, phi).cartesian
 
 
 def constrained_distance(

@@ -119,7 +119,7 @@ def normalize_params(
             moves.append(f"shift a{names[i]} by pi/2 multiples")
             v = shifted
         # reflect about pi/4 into [0, pi/4]
-        if v > np.pi / 4 + NONZERO_TOL:
+        if v > np.pi / 4:
             moves.append(f"reflect a{names[i]} about pi/4")
             v = np.pi / 2 - v
         vals[i] = v

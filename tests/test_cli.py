@@ -1,11 +1,19 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
+import os
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import adqcsim
 from adqcsim import cli
@@ -284,6 +292,112 @@ def test_manifest_parameters_are_the_parser_dests(capsys, tmp_path):
         }
         manifest = json.loads((out_dir / f"{name}_manifest.json").read_text())
         assert set(manifest["parameters"]) == dests | {"command"}, name
+
+
+def _number(lo: float, hi: float):
+    # fixed-point text: argparse reads "-1e-05" as a flag but "-0.000010000" as a number
+    return st.floats(lo, hi).map(lambda v: f"{v:.9f}")
+
+
+def _count(lo: int, hi: int):
+    return st.integers(lo, hi).map(str)
+
+
+def _flat(parts) -> list[str]:
+    return [parts] if isinstance(parts, str) else [a for p in parts for a in _flat(p)]
+
+
+def _command(*parts):
+    """argv from literal strings and strategies, which may draw nested tuples."""
+    return st.tuples(*(st.just(p) if isinstance(p, str) else p for p in parts)).map(_flat)
+
+
+def _opt(flag: str, *values):
+    """Either nothing or ``flag`` with one drawn value per strategy in ``values``."""
+    return st.one_of(st.just(()), st.tuples(st.just(flag), *values))
+
+
+_FORMAT = _opt("--format", st.sampled_from(["csv", "json", "both"]))
+_SEED = _opt("--seed", _count(0, 1000))
+_ANCILLA = _opt("--ancilla", _number(0, np.pi), _number(0, 2 * np.pi))
+_BASIS = _opt("--basis", st.sampled_from(["computational", "x"]))
+_KRAUS_FLAGS = {
+    "none": st.tuples(
+        _opt("--params", _number(-2, 2), _number(-2, 2), _number(-2, 2)), _ANCILLA, _BASIS
+    ),
+    "deterministic": st.tuples(_ANCILLA, _BASIS),
+    "weak": _opt("--theta", _number(0.01, np.pi)),
+    **{preset: st.just(()) for preset in WALK_PRESETS},
+}
+_SMALL_RUNS = st.one_of(
+    _command("classify", _number(-6, 6), _number(-6, 6), _number(-6, 6),
+             _opt("--tol", _number(1e-9, 1e-3))),
+    st.sampled_from(list(_KRAUS_FLAGS)).flatmap(
+        lambda preset: _command("kraus", "--preset", preset, _KRAUS_FLAGS[preset])
+    ),
+    _command(
+        "walk",
+        _opt("--preset", st.sampled_from(list(WALK_PRESETS))),
+        _opt("--epsilon", _number(0.2, 1.0)),
+        "--trials", _count(1, 4),
+        _opt("--bins", _count(1, 6)),
+        _opt("--target-rx", _number(-np.pi, np.pi)),
+        _opt("--max-steps", _count(1, 300)),
+        st.sampled_from([(), "--svg"]),
+        _FORMAT,
+        _SEED,
+    ),
+    st.floats(0.01, 0.785).flatmap(
+        lambda alpha: _command(
+            "egg-scan", "--alpha", f"{alpha:.9f}",
+            _opt("--beta-max", _number(alpha / 2, alpha)),
+            _opt("--samples", _count(1, 12)),
+            _FORMAT,
+        )
+    ),
+    # alpha >= 0.05 keeps the expected attempts, 1 / success probability, low
+    _command(
+        "egg-rus",
+        _opt("--alpha", _number(0.05, np.pi / 4)),
+        "--trials", _count(1, 4),
+        _opt("--max-attempts", _count(1, 30)),
+        _SEED,
+    ),
+    # theta >= 0.5 keeps a chain, ln(eps) / ln(cos(theta / 2)) rounds, under 100
+    _command(
+        "measure",
+        _opt("--theta", _number(0.5, np.pi)),
+        _opt("--epsilon", _number(0.05, 0.9)),
+        _opt("--state", _number(0, np.pi), _number(0, 2 * np.pi)),
+        "--trials", _count(1, 4),
+        _FORMAT,
+        _SEED,
+    ),
+)
+
+_NON_FINITE = re.compile(r"(?<![a-z])(nan|inf)", re.IGNORECASE)
+
+
+@settings(max_examples=120)
+@given(_SMALL_RUNS)
+def test_no_output_contains_nan_or_infinity(argv):
+    # a relative --out-dir keeps the temporary path out of the manifest
+    cwd, stdout = os.getcwd(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(stdout):
+                code = cli.main([*argv, "--out-dir", "out"])
+        finally:
+            os.chdir(cwd)
+        if code != 0:
+            assert list(Path(tmp).iterdir()) == [], argv
+            return
+        written = sorted(Path(tmp, "out").iterdir())
+        texts = [stdout.getvalue()] + [p.read_text() for p in written]
+    assert written, argv
+    for text in texts:
+        assert not _NON_FINITE.search(text), argv
 
 
 def test_json_output_is_strict():

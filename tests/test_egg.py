@@ -4,8 +4,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adqcsim.egg import (
+    BALANCE_TOL,
     AncillaTrajectory,
     CollinearPoints,
     ConstraintViolated,
@@ -79,6 +82,9 @@ def test_config_validation():
         EggConfig(alpha=0.0)
     with pytest.raises(ValueError):
         EggConfig(alpha=np.pi / 4 + 0.01)
+    for theta_prep in (float("nan"), float("inf"), -0.1):
+        with pytest.raises(ValueError, match="theta_prep"):
+            EggConfig(alpha=ALPHA, theta_prep=theta_prep)
     cfg = symmetric_config(ALPHA)
     assert abs(cfg.beta - ALPHA) < 1e-12
     cfg = symmetric_config(ALPHA, beta=0.1)
@@ -405,11 +411,27 @@ def test_find_balanced_beta_reference_point():
 def test_find_balanced_beta_other_alphas():
     # the pi crossing exists across the whole coupling range, including
     # couplings far below the maximally entangling point
-    for alpha in (np.pi / 4, 0.3, 0.05, 0.01):
+    for alpha in (np.pi / 4, 0.3, np.pi / 16, 0.05, 0.01, 1e-3):
         beta_star = find_balanced_beta(alpha)
+        exact = np.arctan(np.sin(2 * alpha)) / 2
         assert 0.0 < beta_star <= alpha
-        assert abs(delta_phi_raw(alpha, beta_star) - np.pi) < 1e-6
+        assert abs(beta_star - exact) <= BALANCE_TOL
+        assert abs(delta_phi_raw(alpha, beta_star) - np.pi) < 1e-8
+        # the closed form is the root itself, and the curve falls through pi there
+        assert abs(delta_phi_raw(alpha, exact) - np.pi) <= 1e-13
+        assert delta_phi_raw(alpha, exact - 1e-9) > np.pi > delta_phi_raw(alpha, exact + 1e-9)
     assert abs(find_balanced_beta(0.01) - 0.009998) < 1e-4
+
+
+@settings(max_examples=200)
+@given(st.floats(0.0, np.pi / 4, exclude_min=True), st.floats(0.0, 1.0))
+def test_balanced_point_closed_forms(alpha, fraction):
+    beta = fraction * alpha
+    phase = 4 * np.arctan2(np.sin(2 * alpha) * np.cos(2 * beta), np.sin(2 * beta))
+    assert abs(delta_phi_raw(alpha, beta) - phase) <= 1e-12
+    s2 = np.sin(2 * alpha) ** 2
+    exact = np.arctan(np.sin(2 * alpha)) / 2
+    assert abs(success_probability(alpha, exact) - s2 / (1 + s2)) <= 1e-12
 
 
 def test_find_balanced_beta_no_root_on_truncated_interval():

@@ -102,11 +102,19 @@ def test_normalize_invariant_under_symmetry_moves(ax, ay, az, axis, order):
         [raw[k] for k in order],
     ]
     for m in moved:
-        # a value within NONZERO_TOL above pi/4 is not reflected, so an input
-        # and its mirror image may land up to 2 NONZERO_TOL apart
+        # rounding can put a value on either side of the zero snap, so an
+        # input and its image may land up to NONZERO_TOL apart
         np.testing.assert_allclose(
-            normalize_params(*m)[0].as_array(), canon, rtol=0, atol=2 * NONZERO_TOL
+            normalize_params(*m)[0].as_array(), canon, rtol=0, atol=NONZERO_TOL + 1e-12
         )
+
+
+def test_normalize_reflects_values_just_above_quarter():
+    above = np.pi / 4 + 5e-10
+    p, moves = normalize_params(above, 0, 0)
+    assert p.ax <= np.pi / 4
+    assert moves == ["reflect ax about pi/4"]
+    assert tuple(p) == tuple(normalize_params(np.pi / 2 - above, 0, 0)[0])
 
 
 def test_normalize_zero_snap():
