@@ -6,7 +6,8 @@ flags --seed, --out-dir and --format control randomness and serialization.
 Every subcommand computes first and returns its artifacts and its stdout
 text; :func:`main` then writes the artifacts as ``<subcommand>.<suffix>``
 under --out-dir, writes a manifest beside them recording the subcommand,
-parameters, seed, package version and output names, and only then prints.
+parameters (--out-dir relative to the working directory), seed, package
+version and output names, and only then prints.
 So a failed run leaves no file, and re-running the same manifest
 reproduces the files byte for byte.  classify and kraus print JSON and
 write it only under an explicit --out-dir; the other four print one
@@ -20,6 +21,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import re
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -79,6 +82,14 @@ KRAUS_IGNORED = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a token such as -1e-05 as a negative number, not as a flag."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d*\.?\d+([eE][-+]?\d+)?$")
+
+
 class NoHits(ValueError):
     """A walk ensemble without a single hit has no histogram to plot."""
 
@@ -120,9 +131,12 @@ def _echo(args: argparse.Namespace, payload: dict) -> tuple[dict, str]:
 def _write_outputs(args: argparse.Namespace, files: dict) -> None:
     """Write each artifact as ``<subcommand>.<suffix>``, then the manifest."""
     named = {f"{args.command}.{suffix}": text for suffix, text in files.items()}
+    parameters = {k: v for k, v in vars(args).items() if k != "func"}
+    # relative, so that the manifest does not depend on where the run sits
+    parameters["out_dir"] = os.path.relpath(args.out_dir)
     manifest = {
         "subcommand": args.command,
-        "parameters": {k: v for k, v in vars(args).items() if k != "func"},
+        "parameters": parameters,
         "seed": args.seed,
         "version": __version__,
         "outputs": sorted(named),
@@ -316,7 +330,7 @@ def _cmd_measure(args: argparse.Namespace) -> tuple[dict, str]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="adqcsim",
         description="Simulator for ancilla-driven quantum computation "
         "with arbitrary-strength entangling interactions.",

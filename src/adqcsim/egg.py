@@ -28,6 +28,7 @@ constructions on the Bloch sphere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -510,6 +511,17 @@ class RusResult:
     log: tuple[AttemptRecord, ...]
 
 
+@lru_cache
+def _rus_setup(alpha: float, beta_star: float) -> tuple[tuple, tuple[float, float]]:
+    """Checked phases and probabilities of an operating point; trials share it."""
+    *phase, delta_phi = _outcome_phases(alpha, beta_star)
+    # written so that a NaN beta_star fails the check too
+    if not abs(delta_phi - np.pi) <= 1e-6:
+        raise ValueError("beta_star does not satisfy the balanced condition")
+    _check_split(alpha, beta_star, beta_star)
+    return tuple(phase), outcome_probabilities(alpha, beta_star)
+
+
 def run_rus(
     alpha: float,
     beta_star: float,
@@ -526,13 +538,7 @@ def run_rus(
     """
     if max_attempts < 1:
         raise ValueError("max_attempts must be >= 1")
-    *phase, delta_phi = _outcome_phases(alpha, beta_star)
-    # written so that a NaN beta_star fails the check too
-    if not abs(delta_phi - np.pi) <= 1e-6:
-        raise ValueError("beta_star does not satisfy the balanced condition")
-    _check_split(alpha, beta_star, beta_star)
-    probs = outcome_probabilities(alpha, beta_star)
-
+    phase, probs = _rus_setup(alpha, beta_star)
     log: list[AttemptRecord] = []
     for attempt in range(1, max_attempts + 1):
         m1 = sample_outcome(*probs, rng)

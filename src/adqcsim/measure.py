@@ -14,6 +14,15 @@ after n zero rounds is cos^n(theta/2), giving the logarithmic step bound
 n >= ln(eps) / ln(cos(theta/2)).  Each simulated round stands for two
 ancilla interactions (the H correction itself costs one), reported as cost
 metadata rather than simulated.
+
+A chain runs in closed form.  After k zero outcomes the register a|0> +
+b|1> is (a, b c^k) / norm, with c = cos(theta/2) and s = sin(theta/2), so
+round k + 1 reads 1 with probability
+
+    p1_k = |b|^2 c^(2k) s^2 / (|a|^2 + |b|^2 c^(2k)),    p0_k = 1 - p1_k.
+
+:func:`run_measurement` compares one ``rng.random(n)`` with p0_k, so it
+takes all n draws from its generator even when the chain halts early.
 """
 
 from __future__ import annotations
@@ -126,14 +135,32 @@ class MeasureResult:
 def run_measurement(
     register: np.ndarray, cfg: MeasureConfig, rng: np.random.Generator
 ) -> MeasureResult:
-    """Chain up to n weak rounds, halting at the first 1 outcome."""
+    """Chain up to n weak rounds, halting at the first 1 outcome.
+
+    Draw k of one ``rng.random(n)`` decides round k + 1 against p0_k (module
+    docstring) by the rule of :func:`~adqcsim.qmath.sample_outcome`, so each
+    round reads what :func:`weak_step` calls on the same stream read, and an
+    impossible branch still raises.  All n draws are taken, even on an early halt.
+    """
     psi = as_state(register)
-    n = cfg.n_steps
-    for step in range(1, n + 1):
-        outcome, psi, _ = weak_step(psi, cfg.theta, rng)
-        if outcome == 1:
-            return MeasureResult(1, step, psi, 0.0)
-    return MeasureResult(0, n, psi, float(np.cos(cfg.theta / 2) ** n))
+    if psi.size != 2:
+        raise ValueError("register must be a single qubit")
+    n, half = cfg.n_steps, cfg.theta / 2
+    a2, b2 = abs(psi) ** 2
+    tail = b2 * (np.cos(half) ** 2) ** np.arange(n)
+    # |b_k|^2 after k zero rounds; a = 0 stays |1> (and tail may underflow to 0)
+    p1 = (tail / (a2 + tail) if a2 else np.ones(n)) * np.sin(half) ** 2
+    p0 = 1.0 - p1
+    clicks = np.flatnonzero(rng.random(n) >= p0)
+    k = int(clicks[0]) if clicks.size else n
+    if k:  # p0_k grows with k: round 1 is the lightest 0 branch taken
+        sample_outcome(p0[0], p1[0], forced=0)
+    if k < n:
+        sample_outcome(p0[k], p1[k], forced=1)
+        return MeasureResult(1, k + 1, basis_state(1), 0.0)
+    residual = np.cos(half) ** n
+    post = np.array([psi[0], psi[1] * residual])
+    return MeasureResult(0, n, post / np.linalg.norm(post), float(residual))
 
 
 def measurement_ensemble(
@@ -152,9 +179,9 @@ def initialize_register(
 ) -> tuple[np.ndarray, int]:
     """Prepare a fresh register near |0> or exactly in |1> from |+>.
 
-    Runs the measurement chain on the maximally undetermined |+> input and
-    returns (state, label); the label-0 state is within the residual bound
-    of |0>.
+    Runs the measurement chain, which takes n draws from ``rng``, on the
+    maximally undetermined |+> input and returns (state, label); the
+    label-0 state is within the residual bound of |0>.
     """
     result = run_measurement(plus_state(), cfg, rng)
     return result.post_state, result.label

@@ -3,8 +3,9 @@
 Every stochastic entry point takes a single integer seed.  Independent
 streams for sub-tasks (trials, attempts, scan points) are derived with
 :func:`derive_rng` so that results are bit-for-bit reproducible and
-insensitive to the order in which sub-tasks run.  Outcomes are drawn from
-a stream by the one rule stated in :func:`adqcsim.qmath.sample_outcome`.
+insensitive to the order in which sub-tasks run.  Each outcome takes one
+draw by the rule of :func:`adqcsim.qmath.sample_outcome`; a weak chain of
+n rounds takes all n draws at once (:func:`adqcsim.measure.run_measurement`).
 """
 
 from __future__ import annotations

@@ -225,6 +225,29 @@ def test_argument_errors_write_nothing(capsys, tmp_path):
         assert not out_dir.exists(), argv
 
 
+def test_negative_numbers_in_scientific_notation(capsys, tmp_path):
+    code, out, _ = run(capsys, "classify", "-1e-05", "0", "-2.5E-1")
+    assert code == 0
+    assert json.loads(out)["input"] == [-1e-05, 0.0, -0.25]
+    code, _, _ = run(
+        capsys, "walk", "--target-rx", "-1e-3", "--trials", "2", "--out-dir", str(tmp_path)
+    )
+    assert code == 0
+    manifest = json.loads((tmp_path / "walk_manifest.json").read_text())
+    assert manifest["parameters"]["target_rx"] == -1e-3
+
+
+def test_manifest_records_out_dir_relative_to_the_working_directory(
+    capsys, tmp_path, monkeypatch
+):
+    monkeypatch.chdir(tmp_path / "..")
+    for out_dir in (tmp_path / "out", f"./{tmp_path.name}/out/"):
+        code, _, _ = run(capsys, "egg-scan", "--samples", "3", "--out-dir", str(out_dir))
+        assert code == 0
+        manifest = json.loads((tmp_path / "out" / "egg-scan_manifest.json").read_text())
+        assert manifest["parameters"]["out_dir"] == f"{tmp_path.name}/out"
+
+
 def test_walk_svg_without_hits_is_numeric_failure(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     argv = ("walk", "--trials", "3", "--max-steps", "1", "--svg")
@@ -295,8 +318,8 @@ def test_manifest_parameters_are_the_parser_dests(capsys, tmp_path):
 
 
 def _number(lo: float, hi: float):
-    # fixed-point text: argparse reads "-1e-05" as a flag but "-0.000010000" as a number
-    return st.floats(lo, hi).map(lambda v: f"{v:.9f}")
+    # shortest round-trip text, so scientific notation such as "-1e-05" occurs
+    return st.floats(lo, hi).map(repr)
 
 
 def _count(lo: int, hi: int):

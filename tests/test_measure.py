@@ -2,10 +2,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from adqcsim.kraus import kraus_for
 from adqcsim.measure import (
     MeasureConfig,
+    MeasureResult,
     initialize_register,
     interaction_cost,
     measurement_ensemble,
@@ -136,6 +139,97 @@ def test_chain_closed_form():
             nrm = np.linalg.norm(expected)
             np.testing.assert_allclose(state, expected / nrm, atol=1e-12)
             assert abs(cumulative - nrm**2) < 1e-12
+
+
+def _reference_chain(
+    register: np.ndarray, cfg: MeasureConfig, rng: np.random.Generator
+) -> MeasureResult:
+    """The chain round by round: one weak_step, and one draw, per round."""
+    psi = register
+    for step in range(1, cfg.n_steps + 1):
+        outcome, psi, _ = weak_step(psi, cfg.theta, rng)
+        if outcome == 1:
+            return MeasureResult(1, step, psi, 0.0)
+    return MeasureResult(0, cfg.n_steps, psi, float(np.cos(cfg.theta / 2) ** cfg.n_steps))
+
+
+def _assert_same_chain(register, cfg, rng, twin) -> None:
+    try:
+        fast = run_measurement(register, cfg, rng)
+    except ImpossibleBranchError:
+        with pytest.raises(ImpossibleBranchError):
+            _reference_chain(register, cfg, twin)
+        return
+    slow = _reference_chain(register, cfg, twin)
+    assert (fast.label, fast.steps_used, fast.residual_bound) == (
+        slow.label, slow.steps_used, slow.residual_bound
+    )
+    np.testing.assert_allclose(fast.post_state, slow.post_state, rtol=0, atol=1e-12)
+
+
+_REGISTERS = st.one_of(
+    st.sampled_from([0, 1]).map(basis_state),
+    st.integers(0, 2**32 - 1).map(lambda s: haar_state(np.random.default_rng(s), 1)),
+)
+
+
+@settings(max_examples=150)
+@given(
+    register=_REGISTERS,
+    theta=st.one_of(st.just(np.pi), st.floats(0.0, np.pi, exclude_min=True)),
+    epsilon=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_chain_matches_stepwise_reference(register, theta, epsilon, seed):
+    # at most 2000 rounds keeps the reference quick; this also skips the
+    # thetas so small that cos(theta / 2) rounds to 1
+    assume(np.cos(theta / 2) ** 2000 <= epsilon)
+    cfg = MeasureConfig(theta=theta, epsilon=epsilon)
+    _assert_same_chain(register, cfg, derive_rng(seed, 0), derive_rng(seed, 0))
+
+
+class _Draws:
+    """A generator stand-in that serves fixed uniforms, singly or as an array."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self, size=None):
+        if size is None:
+            return self.values.pop(0)
+        out, self.values = np.array(self.values[:size]), self.values[size:]
+        return out
+
+
+def test_chain_refuses_impossible_branches_like_the_reference():
+    # round 1 reads 0 at weight ~1e-15: |1> all but exactly, projectively
+    nearly_one = np.array([np.sqrt(1e-15), np.sqrt(1 - 1e-15)])
+    # round 1 reads 1 at weight 1e-15 on the largest draw below 1
+    nearly_zero = np.array([np.sqrt(1 - 2e-15), np.sqrt(2e-15)])
+    for register, theta, first in (
+        (nearly_one, np.pi, 0.0),
+        (nearly_zero, np.pi / 2, np.nextafter(1.0, 0.0)),
+    ):
+        cfg = MeasureConfig(theta=theta, epsilon=0.05)
+        draws = [first] + [0.5] * (cfg.n_steps - 1)
+        with pytest.raises(ImpossibleBranchError):
+            run_measurement(register, cfg, _Draws(draws))
+        with pytest.raises(ImpossibleBranchError):
+            _reference_chain(register, cfg, _Draws(draws))
+        # the same register survives an ordinary first draw
+        draws[0] = 0.5
+        _assert_same_chain(register, cfg, _Draws(draws), _Draws(draws))
+
+
+def test_chain_takes_n_draws_from_the_callers_generator():
+    cfg = MeasureConfig(theta=THETA, epsilon=0.05)
+    steps = []
+    for register in (basis_state(0), basis_state(1), plus_state()):
+        rng, twin = derive_rng(64, 0), derive_rng(64, 0)
+        steps.append(run_measurement(register, cfg, rng).steps_used)
+        twin.random(cfg.n_steps)
+        assert rng.random() == twin.random()
+    assert min(steps) < cfg.n_steps  # one chain stopped early
 
 
 def test_measure_config_steps():
