@@ -58,7 +58,7 @@ def required_steps(theta: float, epsilon: float) -> int:
 
     theta = pi is the projective special case: one step suffices and the
     logarithm is avoided.  Values a rounding error above pi (hand-typed
-    decimals) are clamped to pi.
+    decimals) are clamped to pi.  A theta below about 2e-8 is rejected.
     """
     if np.pi < theta < np.pi + 1e-6:
         theta = np.pi
@@ -66,9 +66,11 @@ def required_steps(theta: float, epsilon: float) -> int:
         raise ValueError("theta must lie in (0, pi]")
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
-    c = np.cos(theta / 2)
-    if c <= 0.0:
+    if theta == np.pi:
         return 1
+    c = np.cos(theta / 2)
+    if c >= 1.0:
+        raise ValueError("theta is too small: cos(theta/2) rounds to 1")
     return max(1, int(np.ceil(np.log(epsilon) / np.log(c))))
 
 
@@ -107,15 +109,15 @@ def weak_step(
 
 @dataclass(frozen=True)
 class MeasureConfig:
-    """Coupling strength, fidelity target and base seed of a measurement chain."""
+    """Coupling, fidelity target and base seed of a chain; checked when built."""
 
     theta: float
     epsilon: float = 0.05
     seed: int = 0
 
-    @property
-    def n_steps(self) -> int:
-        return required_steps(self.theta, self.epsilon)
+    def __post_init__(self):
+        # n_steps, the chain length, is set once here; required_steps checks the inputs
+        object.__setattr__(self, "n_steps", required_steps(self.theta, self.epsilon))
 
 
 @dataclass(frozen=True)

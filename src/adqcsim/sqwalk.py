@@ -7,15 +7,17 @@ gets within epsilon.  Ensembles of such walks have approximately
 geometric/exponential step-count distributions, summarized here with
 histograms, an exponential fit, and a log-linearity diagnostic.
 
-The walk kernel takes the prefix products of a whole block of draws at
-once (a blocked inclusive scan, after Blelloch, "Prefix sums and their
-applications", 1990) and tests all of them against the threshold; see
+The walk kernel takes the prefix products of a block of draws, one
+``rng.random(4096)`` chunk, at once (a blocked inclusive scan, after Blelloch,
+"Prefix sums and their applications", 1990) and tests all of them against
+the threshold.  Its set-up is done once per :class:`WalkConfig`; see
 :func:`run_walk` for its RNG contract.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -35,7 +37,6 @@ from .seeding import derive_rng
 DEFAULT_EPSILON = 0.05
 DEFAULT_MAX_STEPS = 1_000_000
 _RAND_CHUNK = 4096
-_FIRST_BLOCK = 64
 _WORD = 8
 _BIT_SHIFTS = np.arange(_WORD)
 # the word table holds the words of length 1..8 in turn; length l starts at 2^l - 2
@@ -44,7 +45,7 @@ _WORD_OFFSETS = 2 ** np.arange(1, _WORD + 1) - 2
 
 @dataclass(frozen=True)
 class WalkConfig:
-    """Gates, branch probability, target and stopping rule for one walk."""
+    """Gates, branch probability, target and stopping rule; checked when built."""
 
     u0: np.ndarray
     u1: np.ndarray
@@ -54,7 +55,7 @@ class WalkConfig:
     max_steps: int = DEFAULT_MAX_STEPS
     seed: int = 0
 
-    def validated(self) -> "WalkConfig":
+    def __post_init__(self):
         as_unitary(self.u0)
         as_unitary(self.u1)
         as_unitary(self.target)
@@ -64,7 +65,11 @@ class WalkConfig:
             raise ValueError("epsilon must lie in (0, 1]")
         if self.max_steps < 1:
             raise ValueError("max_steps must be positive")
-        return self
+
+    @cached_property
+    def _tables(self):
+        """The gates' word table and the target's SU(2) pair, built on first use."""
+        return _word_table(_su2(self.u0), _su2(self.u1)), _su2(self.target)
 
 
 @dataclass(frozen=True)
@@ -91,16 +96,11 @@ def run_walk(cfg: WalkConfig, rng: np.random.Generator) -> WalkResult:
 
     Gates and target are reduced to SU(2) pairs (a, b), the matrices
     [[a, b], [-conj(b), conj(a)]]: dividing out sqrt(det) changes only a
-    global phase, which |Tr(T^dag V)| ignores.  Draws are taken in blocks
-    of 64 doubling to 4096, so a short walk pays for few of them.  Each
-    block looks up the products of its 8-draw words in a table, scans the
-    word totals, and tests every partial product against the threshold at
-    once.
+    global phase, which |Tr(T^dag V)| ignores.  Each chunk is one block of
+    512 8-draw words: it looks up their products in the word table built
+    once per ``cfg``, scans the word totals, and tests every partial product.
     """
-    cfg.validated()
-    g0, g1 = _su2(cfg.u0), _su2(cfg.u1)
-    ta, tb = _word_table(g0, g1)
-    c, d = _su2(cfg.target)
+    (ta, tb), (c, d) = cfg._tables
     # half-traces: trace_distance(V, T) <= eps  iff  |Re Tr(T^dag V)| / 2 >= 1 - eps^2
     thresh = 1.0 - cfg.epsilon * cfg.epsilon
     # carry: product of every gate applied before the current block
@@ -111,29 +111,24 @@ def run_walk(cfg: WalkConfig, rng: np.random.Generator) -> WalkResult:
 
     done = 0
     while done < cfg.max_steps:
-        pos = done % _RAND_CHUNK
-        if pos == 0:
-            buf = rng.random(_RAND_CHUNK)
-        n = min(max(_FIRST_BLOCK, done), _RAND_CHUNK)
-        words = (buf[pos : pos + n] >= cfg.p0).reshape(-1, _WORD)
+        words = (rng.random(_RAND_CHUNK) >= cfg.p0).reshape(-1, _WORD)
         idx = np.cumsum(words << _BIT_SHIFTS, axis=1) + _WORD_OFFSETS
         # pa, pb[w, k]: product of draws 0..k of word w
         pa, pb = ta[idx], tb[idx]
-        # sa, sb[w]: product of words 0..w, times the carry
-        sa, sb = _scan(pa[:, -1].copy(), pb[:, -1].copy())
-        sa, sb = _mul(sa, sb, ca, cb)
-        qa = np.concatenate(([ca], sa[:-1]))
-        qb = np.concatenate(([cb], sb[:-1]))
+        # qa, qb[w]: product of words 0..w-1 and the carry; the last is the next carry
+        qa, qb = _scan(
+            np.concatenate(([ca], pa[:, -1])), np.concatenate(([cb], pb[:, -1]))
+        )
         # Tr(T^dag P Q) = Tr(M P) with M = Q T^dag
-        ma, mb = _mul(qa, qb, c.conjugate(), -d)
+        ma, mb = _mul(qa[:-1], qb[:-1], c.conjugate(), -d)
         h = (ma[:, None] * pa - mb[:, None] * pb.conj()).real.reshape(-1)
-        m = min(n, cfg.max_steps - done)
+        m = min(_RAND_CHUNK, cfg.max_steps - done)
         close = np.abs(h[:m]) >= thresh
         k = int(close.argmax())
         if close[k]:
             return WalkResult(done + k + 1, True, _distance(h[k]))
         done += m
-        ca, cb = sa[-1], sb[-1]
+        ca, cb = qa[-1], qb[-1]
     return WalkResult(cfg.max_steps, False, _distance(h[m - 1]))
 
 

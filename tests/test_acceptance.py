@@ -1,12 +1,14 @@
 """End-to-end acceptance checks: operating points, stochastic margins, and
 cross-module consistency of the full simulation pipeline.
 
-Each test prints a single PASS/FAIL line so the suite doubles as a report.
+Each test prints a PASS/FAIL line, and the same result as a one-line JSON
+object starting ``{"acceptance"``, so the suite doubles as a report.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import time
 
@@ -59,7 +61,11 @@ SEED = 20240901
 
 
 def _report(number: int, name: str, ok: bool, detail: str) -> None:
-    print(f"acceptance {number}/7 ({name}): {'PASS' if ok else 'FAIL'} - {detail}")
+    status = "PASS" if ok else "FAIL"
+    print(f"acceptance {number}/7 ({name}): {status} - {detail}")
+    # the same line as one JSON object, for tools that collect the report
+    record = {"acceptance": number, "name": name, "status": status, "detail": detail}
+    print(json.dumps(record))
 
 
 def test_balanced_beta_operating_point():

@@ -215,6 +215,7 @@ def test_argument_errors_write_nothing(capsys, tmp_path):
         ("kraus", "--ancilla", "nan", "0"),
         ("classify", "nan", "0", "0"),
         ("classify", "0", "inf", "0"),
+        ("measure", "--theta", "1e-10", "--trials", "1"),
     ]
     for i, argv in enumerate(cases):
         out_dir = tmp_path / str(i)

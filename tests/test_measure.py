@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -44,6 +46,8 @@ def test_required_steps_reference_values():
 
 def test_required_steps_projective_and_clamp():
     assert required_steps(np.pi, 0.05) == 1
+    # cos(pi/2) is 6e-17 in floating point, not 0: the logarithm must not decide
+    assert required_steps(np.pi, 1e-20) == 1
     # a hand-typed 7-digit pi must not be rejected
     assert required_steps(3.141593, 0.05) == 1
     assert required_steps(0.999 * np.pi, 0.05) == 1
@@ -51,6 +55,9 @@ def test_required_steps_projective_and_clamp():
         required_steps(0.0, 0.05)
     with pytest.raises(ValueError):
         required_steps(3.15, 0.05)
+    # cos(theta/2) rounds to 1: no chain length reaches any epsilon
+    with pytest.raises(ValueError, match="theta"):
+        required_steps(1e-10, 0.05)
     with pytest.raises(ValueError):
         required_steps(THETA, 0.0)
     with pytest.raises(ValueError):
@@ -236,6 +243,11 @@ def test_measure_config_steps():
     assert MeasureConfig(theta=THETA, epsilon=0.05).n_steps == 38
     assert interaction_cost(38) == 76
     assert interaction_cost(MeasureConfig(theta=THETA).n_steps) == 76
+    # checked when built, replace included, before any chain runs
+    for bad in ({"theta": 0.0}, {"theta": float("nan")}, {"epsilon": 1.0}):
+        with pytest.raises(ValueError):
+            replace(MeasureConfig(theta=THETA), **bad)
+    assert replace(MeasureConfig(theta=THETA), epsilon=0.1).n_steps == 30
 
 
 def test_run_measurement_label_one():

@@ -41,15 +41,25 @@ def test_two_parameter_gates():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        walk_config("one-param", epsilon=0.0).validated()
+        walk_config("one-param", epsilon=0.0)
     with pytest.raises(ValueError):
-        walk_config("one-param", epsilon=1.5).validated()
-    cfg = WalkConfig(u0=hadamard(), u1=hadamard(), p0=1.5)
+        walk_config("one-param", epsilon=1.5)
     with pytest.raises(ValueError):
-        cfg.validated()
-    cfg = WalkConfig(u0=np.diag([1.0, 0.5]), u1=hadamard())
+        WalkConfig(u0=hadamard(), u1=hadamard(), p0=1.5)
     with pytest.raises(ValueError):
-        cfg.validated()
+        WalkConfig(u0=np.diag([1.0, 0.5]), u1=hadamard())
+
+
+def test_replace_checks_and_rebuilds_the_config():
+    base = walk_config("one-param", epsilon=0.08)
+    with pytest.raises(ValueError):
+        replace(base, target=rx(float("nan")))
+    run_walk(base, derive_rng(0, 0))  # builds the tables of base
+    target = ry(np.pi / 2)
+    fresh = WalkConfig(u0=base.u0, u1=base.u1, target=target, p0=base.p0, epsilon=0.08)
+    moved = replace(base, target=target)
+    for t in range(5):
+        assert run_walk(moved, derive_rng(11, t)) == run_walk(fresh, derive_rng(11, t))
 
 
 def test_identity_target_hits_at_step_zero():
@@ -133,8 +143,8 @@ def test_engine_matches_naive_reference():
     # ry is not symmetric: a distance taken to the transpose would differ
     for target in (rx(np.pi / 3), ry(np.pi / 2)):
         _assert_same_walk(replace(base, target=target), 13, 10)
-    # limits on either side of the 64-draw first block and the 4096-draw chunk
-    for max_steps in (1, 63, 64, 65, 4096, 4097):
+    # limits inside the first 4096-draw block and around the ends of the first two
+    for max_steps in (1, 63, 64, 65, 4096, 4097, 8192, 8193):
         _assert_same_walk(replace(base, epsilon=0.02, max_steps=max_steps), 7, 3)
     # a single gate every step: a fixed rotation that may never come close
     for p0 in (0.0, 1.0):
