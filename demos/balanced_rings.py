@@ -82,7 +82,7 @@ print()
 
 print("=== repeat until success ===\n")
 rng = derive_rng(20240901, 99)
-result = run_rus(ALPHA, beta_star, rng)
+result = run_rus(ALPHA, rng)
 print(f"one run: success after {result.attempts} attempts")
 for rec in result.log:
     print(f"  attempt {rec.attempt}: outcomes ({rec.outcome_first}, "
@@ -92,7 +92,7 @@ for rec in result.log:
 
 # the first n attempts of independent runs, one derived stream per run
 n = 20_000
-logs = (run_rus(ALPHA, beta_star, derive_rng(20240901, t)).log for t in itertools.count())
+logs = (run_rus(ALPHA, derive_rng(20240901, t)).log for t in itertools.count())
 succ = [rec.success for rec in itertools.islice(itertools.chain.from_iterable(logs), n)]
 print(f"\n{n} independent attempts: empirical success rate "
       f"{np.mean(succ):.4f} vs analytic {p_succ:.4f}")

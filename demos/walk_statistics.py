@@ -28,7 +28,7 @@ SEED = 424242
 
 
 def summarize(name: str, cfg) -> None:
-    results = run_ensemble(cfg, TRIALS)
+    results = run_ensemble(cfg, SEED, TRIALS)
     steps = np.array([r.steps for r in results], dtype=float)
     hits = sum(1 for r in results if r.hit)
     h = histogram(steps, bins=20)
@@ -49,12 +49,12 @@ def summarize(name: str, cfg) -> None:
 
 
 print("target: rx(pi/2), epsilon = 0.05\n")
-summarize("one-parameter preset", walk_config("one-param", seed=SEED))
-summarize("two-parameter preset", walk_config("two-param", seed=SEED))
+summarize("one-parameter preset", walk_config("one-param"))
+summarize("two-parameter preset", walk_config("two-param"))
 
 # The first-bin spike of the two-parameter walk comes from short words that
 # almost reach the target. Brute-force all words up to length 4:
-cfg = walk_config("two-param", seed=SEED)
+cfg = walk_config("two-param")
 print("--- best short words, two-parameter preset ---")
 for length in range(1, 5):
     best = None
@@ -73,7 +73,7 @@ for length in range(1, 5):
 # Log-counts of the one-parameter histogram land on a line, the signature of
 # a geometric hitting time.
 print("\n--- log-linear tail, one-parameter preset ---")
-results = run_ensemble(walk_config("one-param", seed=SEED), TRIALS)
+results = run_ensemble(walk_config("one-param"), SEED, TRIALS)
 h = histogram(np.array([r.steps for r in results], dtype=float), bins=12)
 for x, y in log_bin_counts(h):
     print(f"  bin center {x:>9.1f}   ln(count) {y:.3f}")

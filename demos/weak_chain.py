@@ -47,7 +47,7 @@ for step in range(1, 9):
 print()
 
 print("=== full protocol on the three reference inputs ===\n")
-cfg = MeasureConfig(theta=THETA, epsilon=0.05, seed=314)
+cfg = MeasureConfig(theta=THETA, epsilon=0.05)
 print(f"config: theta=pi/4, epsilon=0.05 -> n={cfg.n_steps} rounds")
 for label, state in (("|0>", basis_state(0)), ("|1>", basis_state(1)),
                      ("|+>", plus_state())):
@@ -58,7 +58,7 @@ print()
 
 print("=== mislabel statistics for a |1> input ===\n")
 n_trials = 5000
-results = measurement_ensemble(basis_state(1), cfg, n_trials)
+results = measurement_ensemble(basis_state(1), cfg, 314, n_trials)
 wrong = sum(1 for r in results if r.label == 0)
 bound = np.cos(THETA / 2) ** (2 * cfg.n_steps)
 print(f"trials: {n_trials}, mislabels: {wrong} "

@@ -24,7 +24,7 @@ import json
 import os
 import re
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -208,8 +208,13 @@ def _cmd_kraus(args: argparse.Namespace) -> tuple[dict, str]:
 def _cmd_walk(args: argparse.Namespace) -> tuple[dict, str]:
     if args.bins < 1:
         raise ValueError("bins must be >= 1")
-    cfg = walk_config(args.preset, args.epsilon, args.seed, args.max_steps)
-    results = run_ensemble(replace(cfg, target=rx(args.target_rx)), args.trials)
+    cfg = walk_config(
+        args.preset,
+        target=rx(args.target_rx),
+        epsilon=args.epsilon,
+        max_steps=args.max_steps,
+    )
+    results = run_ensemble(cfg, args.seed, args.trials)
     steps = [r.steps for r in results if r.hit]
     if args.svg and not steps:
         raise NoHits(f"no walk of {args.trials} hit the target: no histogram for --svg")
@@ -272,9 +277,9 @@ def _cmd_egg_scan(args: argparse.Namespace) -> tuple[dict, str]:
 def _cmd_egg_rus(args: argparse.Namespace) -> tuple[dict, str]:
     if args.trials < 1:
         raise ValueError("trials must be >= 1")
-    beta = args.beta if args.beta is not None else find_balanced_beta(args.alpha)
+    beta = find_balanced_beta(args.alpha)
     trials = [
-        run_rus(args.alpha, beta, derive_rng(args.seed, t), args.max_attempts)
+        run_rus(args.alpha, derive_rng(args.seed, t), args.max_attempts)
         for t in range(args.trials)
     ]
     payload = {
@@ -296,9 +301,9 @@ def _cmd_egg_rus(args: argparse.Namespace) -> tuple[dict, str]:
 
 
 def _cmd_measure(args: argparse.Namespace) -> tuple[dict, str]:
-    cfg = MeasureConfig(theta=args.theta, epsilon=args.epsilon, seed=args.seed)
+    cfg = MeasureConfig(theta=args.theta, epsilon=args.epsilon)
     state = bloch_to_state(args.state[0], args.state[1])
-    results = measurement_ensemble(state, cfg, args.trials)
+    results = measurement_ensemble(state, cfg, args.seed, args.trials)
     n = cfg.n_steps
     labels = np.array([r.label for r in results])
     summary = {
@@ -398,10 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=_cmd_egg_scan)
 
-    p = sub.add_parser("egg-rus", help="repeat-until-success CZ generation")
+    p = sub.add_parser("egg-rus", help="repeat-until-success CZ at the balanced point")
     p.add_argument("--alpha", type=float, default=np.pi / 16)
-    p.add_argument("--beta", type=float, default=None,
-                   help="operating split; defaults to the balanced point")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--max-attempts", type=int, default=1000)
     common(p)

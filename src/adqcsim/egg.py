@@ -85,12 +85,10 @@ class ConstraintViolated(EggError):
 # configuration
 
 
-def _check_split(alpha: float, lo: float = 0.0, hi: float = 0.0) -> None:
-    """Reject an alpha outside (0, pi/4] or a beta range [lo, hi] outside [0, alpha]."""
+def _check_alpha(alpha: float) -> None:
+    """Reject an alpha outside (0, pi/4], NaN included."""
     if not 0.0 < alpha <= np.pi / 4:
         raise ValueError("alpha must lie in (0, pi/4]")
-    if not 0.0 <= lo <= hi <= alpha + 1e-15:
-        raise ValueError("beta range must satisfy 0 <= lo <= hi <= alpha")
 
 
 def effective_beta(theta_prep: float, alpha: float) -> float:
@@ -119,7 +117,7 @@ class EggConfig:
     theta_prep: float = np.pi / 2
 
     def __post_init__(self):
-        _check_split(self.alpha)
+        _check_alpha(self.alpha)
         # written so that a NaN theta_prep fails the check too
         if not 0.0 <= self.theta_prep <= np.pi:
             raise ValueError("theta_prep must lie in [0, pi]")
@@ -419,10 +417,11 @@ def phi_scan(
     pi crossing is visible.
     """
     lo, hi = beta_range if beta_range is not None else (0.0, alpha)
-    _check_split(alpha)  # before samples, so a bad alpha is the error reported
+    _check_alpha(alpha)  # before samples, so a bad alpha is the error reported
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    _check_split(alpha, lo, hi)
+    if not 0.0 <= lo <= hi <= alpha + 1e-15:
+        raise ValueError("beta range must satisfy 0 <= lo <= hi <= alpha")
     return [
         ScanRow(
             float(beta),
@@ -454,7 +453,7 @@ def find_balanced_beta(alpha: float, beta_max: float | None = None) -> float:
     probability there is sin^2 2 alpha / (1 + sin^2 2 alpha).  The tests
     hold the numerical root to this value.
     """
-    _check_split(alpha)
+    _check_alpha(alpha)
     hi = alpha if beta_max is None else float(beta_max)
     if not 0.0 < hi <= alpha:
         raise ValueError("beta_max must lie in (0, alpha]")
@@ -512,24 +511,20 @@ class RusResult:
 
 
 @lru_cache
-def _rus_setup(alpha: float, beta_star: float) -> tuple[tuple, tuple[float, float]]:
-    """Checked phases and probabilities of an operating point; trials share it."""
-    *phase, delta_phi = _outcome_phases(alpha, beta_star)
-    # written so that a NaN beta_star fails the check too
-    if not abs(delta_phi - np.pi) <= 1e-6:
-        raise ValueError("beta_star does not satisfy the balanced condition")
-    _check_split(alpha, beta_star, beta_star)
+def _rus_setup(alpha: float) -> tuple[tuple, tuple[float, float]]:
+    """Phases and probabilities at alpha's balanced point; trials share them."""
+    beta_star = find_balanced_beta(alpha)
+    *phase, _ = _outcome_phases(alpha, beta_star)
     return tuple(phase), outcome_probabilities(alpha, beta_star)
 
 
 def run_rus(
-    alpha: float,
-    beta_star: float,
-    rng: np.random.Generator,
-    max_attempts: int = 1000,
+    alpha: float, rng: np.random.Generator, max_attempts: int = 1000
 ) -> RusResult:
-    """Repeat two-round attempts until the outcome phases differ.
+    """Repeat two-round attempts at alpha's balanced point until the phases differ.
 
+    The operating split is beta* from :func:`find_balanced_beta`, which
+    checks alpha; it is found once per alpha and shared by every call.
     Round two flips the sign of the applied phase, so an attempt combines
     to +/- pi (a CZ up to locals) exactly when the two sampled outcomes
     differ; equal outcomes cancel to the identity and the register is
@@ -538,7 +533,7 @@ def run_rus(
     """
     if max_attempts < 1:
         raise ValueError("max_attempts must be >= 1")
-    phase, probs = _rus_setup(alpha, beta_star)
+    phase, probs = _rus_setup(alpha)
     log: list[AttemptRecord] = []
     for attempt in range(1, max_attempts + 1):
         m1 = sample_outcome(*probs, rng)

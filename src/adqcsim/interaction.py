@@ -137,8 +137,11 @@ def classify(ax: float, ay: float, az: float, tol: float = NONZERO_TOL) -> Inter
     """Count non-zero canonical parameters and flag the CZ / CZ+SWAP classes.
 
     ``tol`` widens the flag and zero tests only; canonicalization itself
-    always uses the library threshold.
+    always uses the library threshold.  It must lie in (0, pi/8]: above
+    pi/8 a point can be within ``tol`` of both the CZ and CZ+SWAP classes.
     """
+    if not 0.0 < tol <= np.pi / 8:
+        raise ValueError("tol must lie in (0, pi/8]")
     canon, _ = normalize_params(ax, ay, az)
     a = canon.as_array()
     count = int(np.sum(a > tol))

@@ -21,8 +21,10 @@ round k + 1 reads 1 with probability
 
     p1_k = |b|^2 c^(2k) s^2 / (|a|^2 + |b|^2 c^(2k)),    p0_k = 1 - p1_k.
 
-:func:`run_measurement` compares one ``rng.random(n)`` with p0_k, so it
-takes all n draws from its generator even when the chain halts early.
+:func:`run_measurement` compares blocks of ``rng.random(min(4096, rounds
+left))`` with p0_k: a chain of n <= 4096 rounds takes all n draws even when
+it halts early, a longer one stops after the block that holds its click, and
+memory is bounded by the block, not by n.
 """
 
 from __future__ import annotations
@@ -42,6 +44,8 @@ from .qmath import (
     tensor,
 )
 from .seeding import derive_rng
+
+_BLOCK = 4096
 
 
 def weak_interaction(theta: float) -> np.ndarray:
@@ -109,11 +113,10 @@ def weak_step(
 
 @dataclass(frozen=True)
 class MeasureConfig:
-    """Coupling, fidelity target and base seed of a chain; checked when built."""
+    """Coupling and fidelity target of a chain; checked when built."""
 
     theta: float
     epsilon: float = 0.05
-    seed: int = 0
 
     def __post_init__(self):
         # n_steps, the chain length, is set once here; required_steps checks the inputs
@@ -139,41 +142,41 @@ def run_measurement(
 ) -> MeasureResult:
     """Chain up to n weak rounds, halting at the first 1 outcome.
 
-    Draw k of one ``rng.random(n)`` decides round k + 1 against p0_k (module
-    docstring) by the rule of :func:`~adqcsim.qmath.sample_outcome`, so each
-    round reads what :func:`weak_step` calls on the same stream read, and an
-    impossible branch still raises.  All n draws are taken, even on an early halt.
+    Draw k of the blocks (module docstring) decides round k + 1 against
+    p0_k by the rule of :func:`~adqcsim.qmath.sample_outcome`, so each round
+    reads what :func:`weak_step` calls on the same stream read, and an
+    impossible branch still raises.  A block is drawn whole, even on a halt.
     """
     psi = as_state(register)
     if psi.size != 2:
         raise ValueError("register must be a single qubit")
     n, half = cfg.n_steps, cfg.theta / 2
     a2, b2 = abs(psi) ** 2
-    tail = b2 * (np.cos(half) ** 2) ** np.arange(n)
-    # |b_k|^2 after k zero rounds; a = 0 stays |1> (and tail may underflow to 0)
-    p1 = (tail / (a2 + tail) if a2 else np.ones(n)) * np.sin(half) ** 2
-    p0 = 1.0 - p1
-    clicks = np.flatnonzero(rng.random(n) >= p0)
-    k = int(clicks[0]) if clicks.size else n
-    if k:  # p0_k grows with k: round 1 is the lightest 0 branch taken
-        sample_outcome(p0[0], p1[0], forced=0)
-    if k < n:
-        sample_outcome(p0[k], p1[k], forced=1)
-        return MeasureResult(1, k + 1, basis_state(1), 0.0)
+    for start in range(0, n, _BLOCK):
+        m = min(_BLOCK, n - start)
+        tail = b2 * (np.cos(half) ** 2) ** np.arange(start, start + m)
+        # |b_k|^2 after k zero rounds; a = 0 stays |1> (and tail may underflow to 0)
+        p1 = (tail / (a2 + tail) if a2 else np.ones(m)) * np.sin(half) ** 2
+        p0 = 1.0 - p1
+        clicks = np.flatnonzero(rng.random(m) >= p0)
+        k = int(clicks[0]) if clicks.size else m
+        if k and not start:  # p0_k grows with k: round 1 is the lightest 0 taken
+            sample_outcome(p0[0], p1[0], forced=0)
+        if k < m:
+            sample_outcome(p0[k], p1[k], forced=1)
+            return MeasureResult(1, start + k + 1, basis_state(1), 0.0)
     residual = np.cos(half) ** n
     post = np.array([psi[0], psi[1] * residual])
     return MeasureResult(0, n, post / np.linalg.norm(post), float(residual))
 
 
 def measurement_ensemble(
-    register: np.ndarray, cfg: MeasureConfig, trials: int
+    register: np.ndarray, cfg: MeasureConfig, seed: int, trials: int
 ) -> list[MeasureResult]:
-    """Independent chains with per-trial derived generators."""
+    """Independent chains, trial t on the stream derive_rng(seed, t)."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    return [
-        run_measurement(register, cfg, derive_rng(cfg.seed, t)) for t in range(trials)
-    ]
+    return [run_measurement(register, cfg, derive_rng(seed, t)) for t in range(trials)]
 
 
 def initialize_register(
@@ -181,9 +184,9 @@ def initialize_register(
 ) -> tuple[np.ndarray, int]:
     """Prepare a fresh register near |0> or exactly in |1> from |+>.
 
-    Runs the measurement chain, which takes n draws from ``rng``, on the
-    maximally undetermined |+> input and returns (state, label); the
-    label-0 state is within the residual bound of |0>.
+    Runs :func:`run_measurement` with ``rng`` on the maximally undetermined
+    |+> input and returns (state, label); the label-0 state is within the
+    residual bound of |0>.
     """
     result = run_measurement(plus_state(), cfg, rng)
     return result.post_state, result.label

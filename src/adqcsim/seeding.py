@@ -1,11 +1,11 @@
 """Deterministic RNG derivation.
 
-Every stochastic entry point takes a single integer seed.  Independent
-streams for sub-tasks (trials, attempts, scan points) are derived with
-:func:`derive_rng` so that results are bit-for-bit reproducible and
-insensitive to the order in which sub-tasks run.  Each outcome takes one
-draw by the rule of :func:`adqcsim.qmath.sample_outcome`; a weak chain of
-n rounds takes all n draws at once (:func:`adqcsim.measure.run_measurement`).
+Every ensemble takes a single integer seed after its config, as
+``(..., seed, trials)``, and trial t draws from ``derive_rng(seed, t)``, so
+results are bit-for-bit reproducible and insensitive to the order in which
+trials run.  Each outcome takes one draw by the rule of
+:func:`adqcsim.qmath.sample_outcome`; a weak chain takes its draws in blocks
+of up to 4096 (:func:`adqcsim.measure.run_measurement`).
 """
 
 from __future__ import annotations

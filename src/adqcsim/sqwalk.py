@@ -34,8 +34,6 @@ from .qmath import (
 )
 from .seeding import derive_rng
 
-DEFAULT_EPSILON = 0.05
-DEFAULT_MAX_STEPS = 1_000_000
 _RAND_CHUNK = 4096
 _WORD = 8
 _BIT_SHIFTS = np.arange(_WORD)
@@ -51,14 +49,13 @@ class WalkConfig:
     u1: np.ndarray
     target: np.ndarray = field(default_factory=lambda: rx(np.pi / 2))
     p0: float = 0.5
-    epsilon: float = DEFAULT_EPSILON
-    max_steps: int = DEFAULT_MAX_STEPS
-    seed: int = 0
+    epsilon: float = 0.05
+    max_steps: int = 1_000_000
 
     def __post_init__(self):
-        as_unitary(self.u0)
-        as_unitary(self.u1)
-        as_unitary(self.target)
+        for name in ("u0", "u1", "target"):
+            if as_unitary(getattr(self, name)).shape != (2, 2):
+                raise ValueError(f"{name} must be a 2x2 unitary")
         if not 0.0 <= self.p0 <= 1.0:
             raise ValueError("p0 must lie in [0, 1]")
         if not 0.0 < self.epsilon <= 1.0:
@@ -179,16 +176,16 @@ def _distance(half_trace: float) -> float:
     return float(np.sqrt(max(0.0, 1.0 - abs(half_trace))))
 
 
-def run_ensemble(cfg: WalkConfig, trials: int) -> list[WalkResult]:
+def run_ensemble(cfg: WalkConfig, seed: int, trials: int) -> list[WalkResult]:
     """Independent walks with per-trial derived generators, ordered by trial.
 
-    Trial t uses the stream derive_rng(cfg.seed, t), drawn from as
+    Trial t uses the stream derive_rng(seed, t), drawn from as
     :func:`run_walk` describes, so results do not depend on execution
     order or batching.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    return [run_walk(cfg, derive_rng(cfg.seed, t)) for t in range(trials)]
+    return [run_walk(cfg, derive_rng(seed, t)) for t in range(trials)]
 
 
 # preset -> (interaction E, ancilla, readout basis); the two Kraus branches
@@ -213,21 +210,14 @@ WALK_PRESETS = {
 }
 
 
-def walk_config(
-    preset: str,
-    epsilon: float = DEFAULT_EPSILON,
-    seed: int = 0,
-    max_steps: int = DEFAULT_MAX_STEPS,
-) -> WalkConfig:
-    """Walk to rx(pi/2) with the gates re-derived from a :data:`WALK_PRESETS` entry."""
+def walk_config(preset: str, **fields) -> WalkConfig:
+    """WalkConfig(**fields) with u0, u1 and p0 from a :data:`WALK_PRESETS` entry."""
     outs = kraus_for(*WALK_PRESETS[preset])
     return WalkConfig(
         u0=outs[0].unitary_part,
         u1=outs[1].unitary_part,
         p0=outs[0].probability,
-        epsilon=epsilon,
-        max_steps=max_steps,
-        seed=seed,
+        **fields,
     )
 
 

@@ -87,7 +87,7 @@ def test_rus_success_probability():
     p = success_probability(ALPHA, beta_star)
     n = 100_000
     # the first n attempts of run_rus over per-trial streams, as egg-rus runs it
-    logs = (run_rus(ALPHA, beta_star, derive_rng(SEED, t)).log for t in itertools.count())
+    logs = (run_rus(ALPHA, derive_rng(SEED, t)).log for t in itertools.count())
     attempts = itertools.islice(itertools.chain.from_iterable(logs), n)
     freq = sum(rec.success for rec in attempts) / n
     sigma = math.sqrt(p * (1.0 - p) / n)
@@ -107,11 +107,11 @@ def test_measurement_step_bound():
     cos_half = math.cos(theta / 2)
     for eps in (0.1, 0.05, 0.01):
         assert required_steps(theta, eps) == math.ceil(math.log(eps) / math.log(cos_half))
-    cfg = MeasureConfig(theta=theta, epsilon=0.05, seed=SEED)
+    cfg = MeasureConfig(theta=theta, epsilon=0.05)
     assert cfg.n_steps == 38
 
     n = 100_000
-    results = measurement_ensemble(basis_state(1), cfg, n)
+    results = measurement_ensemble(basis_state(1), cfg, SEED, n)
     mislabel = sum(1 for r in results if r.label == 0) / n
     bound = cos_half ** (2 * cfg.n_steps)
     sigma = math.sqrt(bound * (1.0 - bound) / n)
@@ -178,7 +178,7 @@ def _word_distances(cfg: WalkConfig, max_length: int) -> dict[tuple[int, ...], f
 
 def test_walk_distributions():
     t0 = time.perf_counter()
-    res1 = run_ensemble(walk_config("one-param", seed=SEED), 1000)
+    res1 = run_ensemble(walk_config("one-param"), SEED, 1000)
     steps1 = np.array([r.steps for r in res1], dtype=float)
     chi2, crit, dof = _chi_square_exponential(steps1)
     chi_ok = chi2 <= crit
@@ -186,8 +186,8 @@ def test_walk_distributions():
     r2 = log_linear_r2(histogram(steps1, bins=20))
     r2_ok = r2 >= 0.9
 
-    cfg2 = walk_config("two-param", seed=SEED)
-    res2 = run_ensemble(cfg2, 1000)
+    cfg2 = walk_config("two-param")
+    res2 = run_ensemble(cfg2, SEED, 1000)
     h2 = histogram(np.array([r.steps for r in res2], dtype=float), bins=20)
     first_bin_ok = h2.counts[0] == max(h2.counts)
 

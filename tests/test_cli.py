@@ -215,6 +215,10 @@ def test_argument_errors_write_nothing(capsys, tmp_path):
         ("kraus", "--ancilla", "nan", "0"),
         ("classify", "nan", "0", "0"),
         ("classify", "0", "inf", "0"),
+        *(
+            ("classify", "0.7", "0.1", "0", "--tol", tol)
+            for tol in ("nan", "inf", "-1", "0.5")
+        ),
         ("measure", "--theta", "1e-10", "--trials", "1"),
     ]
     for i, argv in enumerate(cases):
@@ -263,7 +267,8 @@ def test_walk_svg_without_hits_is_numeric_failure(capsys, tmp_path, monkeypatch)
 def test_nan_messages_name_the_argument(capsys, tmp_path):
     cases = [
         (("egg-scan", "--alpha", "nan"), "alpha must lie in (0, pi/4]"),
-        (("egg-rus", "--beta", "nan", "--trials", "2"), "beta_star does not satisfy"),
+        (("egg-rus", "--alpha", "nan", "--trials", "2"), "alpha must lie in (0, pi/4]"),
+        (("classify", "0", "0", "0", "--tol", "nan"), "tol must lie in (0, pi/8]"),
     ]
     for argv, message in cases:
         code, out, err = run(capsys, *argv, "--out-dir", str(tmp_path))
@@ -533,11 +538,15 @@ def test_runtime_argument_error_exit_code(capsys):
     assert code == 2
 
 
-def test_unknown_subcommand_is_parse_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["frobnicate"])
-    assert exc.value.code == 2
+def test_unknown_subcommand_is_parse_error(capsys, tmp_path):
+    # egg-rus always runs at the balanced point: it has no --beta
+    no_beta = ["egg-rus", "--beta", "0.1", "--out-dir", str(tmp_path)]
+    for argv in (["frobnicate"], no_beta):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
     capsys.readouterr()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_version_flag(capsys):

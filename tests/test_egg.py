@@ -448,10 +448,9 @@ def test_find_balanced_beta_no_root_on_truncated_interval():
 
 
 def test_run_rus_log_structure():
-    beta_star = find_balanced_beta(ALPHA)
     rng = derive_rng(101, 0)
     for _ in range(200):
-        res = run_rus(ALPHA, beta_star, rng)
+        res = run_rus(ALPHA, rng)
         assert res.success
         assert res.attempts == len(res.log)
         for rec in res.log[:-1]:
@@ -463,23 +462,21 @@ def test_run_rus_log_structure():
         assert last.outcome_first != last.outcome_second
         assert abs(abs(last.combined_phase) - np.pi) < 1e-6
     # the same stream gives the same result
-    assert run_rus(ALPHA, beta_star, derive_rng(101, 1)) == run_rus(
-        ALPHA, beta_star, derive_rng(101, 1)
-    )
+    assert run_rus(ALPHA, derive_rng(101, 1)) == run_rus(ALPHA, derive_rng(101, 1))
 
 
-def test_run_rus_rejects_unbalanced_beta():
+def test_run_rus_rejects_bad_alpha():
     rng = derive_rng(0, 0)
-    for beta in (0.1, float("nan")):
-        with pytest.raises(ValueError, match="balanced condition"):
-            run_rus(ALPHA, beta, rng)
+    for alpha in (float("nan"), 0.0, 1.0):
+        with pytest.raises(ValueError, match="alpha"):
+            run_rus(alpha, rng)
 
 
 def test_run_rus_mean_attempts():
     beta_star = find_balanced_beta(ALPHA)
     rng = derive_rng(102, 0)
     n = 2000
-    attempts = [run_rus(ALPHA, beta_star, rng).attempts for _ in range(n)]
+    attempts = [run_rus(ALPHA, rng).attempts for _ in range(n)]
     mean = np.mean(attempts)
     p = success_probability(ALPHA, beta_star)
     sigma = np.sqrt(1 - p) / p / np.sqrt(n)
@@ -490,7 +487,7 @@ def test_run_rus_success_rate():
     # the first n attempts of run_rus over per-trial streams, as egg-rus runs it
     beta_star = find_balanced_beta(ALPHA)
     n = 5000
-    logs = (run_rus(ALPHA, beta_star, derive_rng(7, t)).log for t in itertools.count())
+    logs = (run_rus(ALPHA, derive_rng(7, t)).log for t in itertools.count())
     attempts = list(itertools.islice(itertools.chain.from_iterable(logs), n))
     p = success_probability(ALPHA, beta_star)
     freq = np.mean([rec.success for rec in attempts])

@@ -157,6 +157,12 @@ def test_classify_cli_tolerance():
     assert c.is_cz_class
     c = classify(0.7853981, 0, 0)
     assert not c.is_cz_class
+    # up to pi/8 no point is within tol of both special classes
+    c = classify(np.pi / 4, np.pi / 8, 0, tol=np.pi / 8)
+    assert not (c.is_cz_class and c.is_cz_swap_class)
+    for tol in (float("nan"), float("inf"), -1.0, 0.0, np.nextafter(np.pi / 8, 1)):
+        with pytest.raises(ValueError, match="tol"):
+            classify(0.7, 0.1, 0, tol=tol)
 
 
 def test_classify_agrees_with_normal_form():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -239,6 +240,39 @@ def test_chain_takes_n_draws_from_the_callers_generator():
     assert min(steps) < cfg.n_steps  # one chain stopped early
 
 
+def test_long_chain_matches_stepwise_reference_and_draws_in_blocks():
+    # n = 9586 rounds take three blocks of at most 4096 draws; a chain draws
+    # every block up to the one that holds its click, and no further
+    cfg = MeasureConfig(theta=0.05, epsilon=0.05)
+    assert cfg.n_steps == 9586
+    for register, seed, steps in (
+        (basis_state(1), 1, 39),
+        (basis_state(1), 22, 4918),
+        (basis_state(1), 4, 9586),
+        (plus_state(), 0, 9586),
+    ):
+        _assert_same_chain(register, cfg, derive_rng(seed, 0), derive_rng(seed, 0))
+        rng, twin = derive_rng(seed, 0), derive_rng(seed, 0)
+        assert run_measurement(register, cfg, rng).steps_used == steps
+        twin.random(min(cfg.n_steps, -(-steps // 4096) * 4096))
+        assert rng.random() == twin.random()
+
+
+def test_chain_memory_is_bounded_by_the_block():
+    # n-long arrays would take about 33 bytes a round, 88 MB here
+    cfg = MeasureConfig(theta=3e-3, epsilon=0.05)
+    assert cfg.n_steps == 2662873
+    rng = derive_rng(65, 0)
+    tracemalloc.start()
+    try:
+        res = run_measurement(basis_state(0), cfg, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (res.label, res.steps_used) == (0, cfg.n_steps)
+    assert peak < 1_000_000
+
+
 def test_measure_config_steps():
     assert MeasureConfig(theta=THETA, epsilon=0.05).n_steps == 38
     assert interaction_cost(38) == 76
@@ -285,7 +319,7 @@ def test_mislabel_rate_for_one_input():
     bound = np.cos(np.pi / 8) ** 76
     assert abs(bound - 0.002436499294649102) < 1e-15
     trials = 2000
-    results = measurement_ensemble(basis_state(1), cfg, trials)
+    results = measurement_ensemble(basis_state(1), cfg, 0, trials)
     wrong = sum(1 for r in results if r.label == 0)
     sigma = np.sqrt(bound * (1 - bound) / trials)
     assert wrong / trials <= bound + 3 * sigma
@@ -295,9 +329,9 @@ def test_mislabel_rate_for_one_input():
 def test_ensemble_determinism_and_frequency():
     state = bloch_to_state(2 * np.arcsin(np.sqrt(0.3)), 0.0)
     assert abs(abs(state[1]) ** 2 - 0.3) < 1e-12
-    cfg = MeasureConfig(theta=THETA, epsilon=0.05, seed=61)
-    a = measurement_ensemble(state, cfg, 400)
-    b = measurement_ensemble(state, cfg, 400)
+    cfg = MeasureConfig(theta=THETA, epsilon=0.05)
+    a = measurement_ensemble(state, cfg, 61, 400)
+    b = measurement_ensemble(state, cfg, 61, 400)
     assert [(r.label, r.steps_used) for r in a] == [(r.label, r.steps_used) for r in b]
     direct = run_measurement(state, cfg, derive_rng(61, 13))
     assert (a[13].label, a[13].steps_used) == (direct.label, direct.steps_used)
@@ -306,11 +340,11 @@ def test_ensemble_determinism_and_frequency():
     sigma = np.sqrt(p_one * (1 - p_one) / 400)
     assert abs(freq - p_one) < 4 * sigma
     with pytest.raises(ValueError):
-        measurement_ensemble(state, cfg, 0)
+        measurement_ensemble(state, cfg, 61, 0)
 
 
 def test_initialize_register_projective():
-    cfg = MeasureConfig(theta=np.pi, epsilon=0.05, seed=62)
+    cfg = MeasureConfig(theta=np.pi, epsilon=0.05)
     labels = []
     for t in range(200):
         state, label = initialize_register(cfg, derive_rng(62, t))
@@ -320,7 +354,7 @@ def test_initialize_register_projective():
 
 
 def test_initialize_register_weak():
-    cfg = MeasureConfig(theta=THETA, epsilon=0.05, seed=63)
+    cfg = MeasureConfig(theta=THETA, epsilon=0.05)
     for t in range(50):
         state, label = initialize_register(cfg, derive_rng(63, t))
         if label == 1:

@@ -48,6 +48,12 @@ def test_config_validation():
         WalkConfig(u0=hadamard(), u1=hadamard(), p0=1.5)
     with pytest.raises(ValueError):
         WalkConfig(u0=np.diag([1.0, 0.5]), u1=hadamard())
+    # unitaries of another size: a 4x4 walk would run to max_steps and miss
+    u, v = (haar_unitary(4, np.random.default_rng(s)) for s in (1, 2))
+    with pytest.raises(ValueError, match="u0 must be a 2x2 unitary"):
+        WalkConfig(u0=u, u1=u.conj().T, target=v, epsilon=0.3)
+    with pytest.raises(ValueError, match="target must be a 2x2 unitary"):
+        WalkConfig(u0=hadamard(), u1=hadamard(), target=v)
 
 
 def test_replace_checks_and_rebuilds_the_config():
@@ -85,7 +91,7 @@ def test_miss_reports_max_steps():
 
 
 def test_hit_distance_within_epsilon():
-    cfg = walk_config("one-param", epsilon=0.1, seed=5)
+    cfg = walk_config("one-param", epsilon=0.1)
     for t in range(10):
         res = run_walk(cfg, derive_rng(5, t))
         assert res.hit
@@ -100,15 +106,15 @@ def test_looser_epsilon_stops_no_later_on_same_stream():
 
 
 def test_ensemble_determinism():
-    cfg = walk_config("one-param", epsilon=0.1, seed=42)
-    a = run_ensemble(cfg, 20)
-    b = run_ensemble(cfg, 20)
+    cfg = walk_config("one-param", epsilon=0.1)
+    a = run_ensemble(cfg, 42, 20)
+    b = run_ensemble(cfg, 42, 20)
     assert a == b
     # trial t consumes exactly the stream derived for index t
     t7 = run_walk(cfg, derive_rng(42, 7))
     assert a[7] == t7
     with pytest.raises(ValueError):
-        run_ensemble(cfg, 0)
+        run_ensemble(cfg, 42, 0)
 
 
 def _reference_walk(cfg: WalkConfig, rng: np.random.Generator) -> WalkResult:
@@ -201,8 +207,8 @@ def test_shortest_exact_word_is_only_approximate():
 
 
 def test_mean_steps_one_parameter():
-    cfg = walk_config("one-param", seed=20240901)
-    results = run_ensemble(cfg, 100)
+    cfg = walk_config("one-param")
+    results = run_ensemble(cfg, 20240901, 100)
     assert all(r.hit for r in results)
     mean = np.mean([r.steps for r in results])
     assert 5000 < mean < 11000
