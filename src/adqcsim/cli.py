@@ -33,6 +33,7 @@ from . import __version__
 from .egg import (
     EggError,
     ScanRow,
+    _rus_setup,
     find_balanced_beta,
     phi_scan,
     run_rus,
@@ -103,8 +104,35 @@ def _fmt(x) -> str:
 
 
 def _json_text(obj) -> str:
-    # RFC 8259 has no NaN or Infinity: a non-finite value is a ValueError
-    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)`` and a newline.
+
+    The C encoder has no ``indent``, so lists, tuples, str-keyed dicts and
+    dataclasses (their fields, memoised by id and depth) are joined here.
+    """
+    scalar = json.JSONEncoder(allow_nan=False).encode  # C encoder, exact for scalars
+    plain = {int: int.__repr__, bool: {True: "true", False: "false"}.get}
+    plain.update(dict.fromkeys((str, float, type(None)), scalar))
+    memo: dict = {}
+
+    def text(x, pad: str) -> str:
+        if type(x) in plain:
+            return plain[type(x)](x)
+        key, inner = (id(x), len(pad)), pad + "  "
+        if key not in memo and hasattr(type(x), "__dataclass_fields__"):
+            memo[key] = text({f.name: getattr(x, f.name) for f in fields(x)}, pad)
+        if key in memo:
+            return memo[key]
+        if isinstance(x, dict) and all(isinstance(k, str) for k in x):
+            items = [f"{scalar(k)}: {text(v, inner)}" for k, v in sorted(x.items())]
+        elif isinstance(x, (list, tuple)):
+            items = [text(v, inner) for v in x]
+        else:  # RFC 8259 has no NaN or Infinity; a JSON string holds no raw newline
+            dump = json.dumps(x, indent=2, sort_keys=True, allow_nan=False)
+            return dump.replace("\n", "\n" + pad)
+        ends, sep = "{}" if isinstance(x, dict) else "[]", ",\n" + inner
+        return f"{ends[0]}\n{inner}{sep.join(items)}\n{pad}{ends[1]}" if items else ends
+
+    return text(obj, "") + "\n"
 
 
 def _complex_matrix(m: np.ndarray) -> list:
@@ -277,7 +305,7 @@ def _cmd_egg_scan(args: argparse.Namespace) -> tuple[dict, str]:
 def _cmd_egg_rus(args: argparse.Namespace) -> tuple[dict, str]:
     if args.trials < 1:
         raise ValueError("trials must be >= 1")
-    beta = find_balanced_beta(args.alpha)
+    beta = _rus_setup(args.alpha)[0]  # checks alpha
     trials = [
         run_rus(args.alpha, derive_rng(args.seed, t), args.max_attempts)
         for t in range(args.trials)
@@ -289,10 +317,7 @@ def _cmd_egg_rus(args: argparse.Namespace) -> tuple[dict, str]:
         "mean_attempts": float(np.mean([r.attempts for r in trials])),
         "all_succeeded": all(r.success for r in trials),
         # the JSON keys are the field names of RusResult and AttemptRecord
-        "trials": [
-            {"trial": t, **vars(r), "log": [vars(rec) for rec in r.log]}
-            for t, r in enumerate(trials)
-        ],
+        "trials": [{"trial": t, **vars(r)} for t, r in enumerate(trials)],
     }
     return {"json": _json_text(payload)}, (
         f"egg-rus: mean attempts {payload['mean_attempts']:.2f} "

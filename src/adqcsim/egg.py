@@ -33,6 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .qmath import (
+    BRANCH_TOL,
     BlochPoint,
     as_state,
     bloch_to_state,
@@ -51,6 +52,7 @@ DISTINCT_POINT_TOL = 1e-9
 COLLINEAR_TOL = 1e-12
 SCAN_SAMPLES = 512
 BALANCE_TOL = 1e-10
+RUS_BLOCK = 32
 
 
 class EggError(ValueError):
@@ -511,11 +513,14 @@ class RusResult:
 
 
 @lru_cache
-def _rus_setup(alpha: float) -> tuple[tuple, tuple[float, float]]:
-    """Phases and probabilities at alpha's balanced point; trials share them."""
+def _rus_setup(alpha: float) -> tuple:
+    """(beta*, (p+, p-), phases, records) at alpha's balanced point, for all trials:
+    pair c = 2 m1 + m2 has ``phases[c]`` and attempt-k record ``records[4 (k - 1) + c]``.
+    """
     beta_star = find_balanced_beta(alpha)
-    *phase, _ = _outcome_phases(alpha, beta_star)
-    return tuple(phase), outcome_probabilities(alpha, beta_star)
+    plus, minus, _ = _outcome_phases(alpha, beta_star)
+    phases = tuple(wrap_angle(a - b) for a in (plus, minus) for b in (plus, minus))
+    return beta_star, outcome_probabilities(alpha, beta_star), phases, []
 
 
 def run_rus(
@@ -523,26 +528,35 @@ def run_rus(
 ) -> RusResult:
     """Repeat two-round attempts at alpha's balanced point until the phases differ.
 
-    The operating split is beta* from :func:`find_balanced_beta`, which
-    checks alpha; it is found once per alpha and shared by every call.
+    The split is beta* from :func:`find_balanced_beta` (which checks alpha),
+    found once per alpha.  Attempts are drawn in blocks, ``rng.random(2
+    min(RUS_BLOCK, attempts left))``, draws 2i and 2i + 1 deciding attempt
+    i's rounds by the rule of :func:`~adqcsim.qmath.sample_outcome`; the
+    draws after a success go unused.
     Round two flips the sign of the applied phase, so an attempt combines
-    to +/- pi (a CZ up to locals) exactly when the two sampled outcomes
-    differ; equal outcomes cancel to the identity and the register is
-    unchanged, so failed attempts need no correction.  Each round draws
-    its outcome (0 is "+") with :func:`~adqcsim.qmath.sample_outcome`.
+    to +/- pi (a CZ up to locals) exactly when the two outcomes differ.
+    Equal outcomes cancel to the identity, so failed attempts need no
+    correction, only if round two prepares the ancilla at (pi - theta_prep,
+    0) and puts rx(-pi/2) between the couplings; nothing in the package
+    simulates that round yet.
     """
     if max_attempts < 1:
         raise ValueError("max_attempts must be >= 1")
-    phase, probs = _rus_setup(alpha)
+    _, (p0, p1), phases, records = _rus_setup(alpha)
     log: list[AttemptRecord] = []
-    for attempt in range(1, max_attempts + 1):
-        m1 = sample_outcome(*probs, rng)
-        m2 = sample_outcome(*probs, rng)
-        success = m1 != m2
-        combined = wrap_angle(phase[m1] - phase[m2])
-        log.append(AttemptRecord(attempt, m1, m2, success, combined))
-        if success:
-            return RusResult(attempt, True, tuple(log))
+    for start in range(0, max_attempts, RUS_BLOCK):
+        ones = (rng.random(2 * min(RUS_BLOCK, max_attempts - start)) >= p0).view(np.int8)
+        won = np.flatnonzero(ones[0::2] != ones[1::2])
+        k = int(won[0]) + 1 if won.size else ones.size // 2
+        for m in set(ones[: 2 * k].tolist()) if min(p0, p1) < BRANCH_TOL else ():
+            sample_outcome(p0, p1, forced=m)  # raises for an impossible branch
+        while len(records) < 4 * (start + k):
+            j, c = divmod(len(records), 4)
+            records.append(AttemptRecord(j + 1, c // 2, c % 2, c in (1, 2), phases[c]))
+        index = 4 * np.arange(start, start + k) + ones[: 2 * k].reshape(k, 2) @ (2, 1)
+        log.extend(map(records.__getitem__, index.tolist()))
+        if won.size:
+            return RusResult(start + k, True, tuple(log))
     return RusResult(max_attempts, False, tuple(log))
 
 

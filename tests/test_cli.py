@@ -16,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import adqcsim
-from adqcsim import cli
+from adqcsim import cli, egg
+from adqcsim.egg import AttemptRecord
 from adqcsim.sqwalk import WALK_PRESETS, walk_config
 
 
@@ -429,10 +430,80 @@ def test_no_output_contains_nan_or_infinity(argv):
         assert not _NON_FINITE.search(text), argv
 
 
+def _nest(value, depth: int):
+    """``value`` under ``depth`` containers: list, dict, tuple, list, ..."""
+    for level in range(depth):
+        value = ([value], {"k": value}, (value,))[level % 3]
+    return value
+
+
+def _stdlib_json(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
 def test_json_output_is_strict():
-    for bad in (float("nan"), float("inf")):
+    record = AttemptRecord(1, 0, 0, False, float("nan"))
+    for depth in range(5):
+        for bad in (float("nan"), float("inf"), -float("inf"), np.float64("nan")):
+            for obj in ({"value": _nest(bad, depth)}, _nest({bad: 1}, depth)):
+                with pytest.raises(ValueError):
+                    _stdlib_json(obj)
+                with pytest.raises(ValueError):
+                    cli._json_text(obj)
         with pytest.raises(ValueError):
-            cli._json_text({"value": bad})
+            cli._json_text(_nest(record, depth))
+        # types the stdlib does not encode, as values and as keys
+        for obj in (_nest(np.int64(3), depth), _nest({(1, 2): 0}, depth), _nest({1j: 0}, depth)):
+            with pytest.raises(TypeError):
+                _stdlib_json(obj)
+            with pytest.raises(TypeError):
+                cli._json_text(obj)
+
+
+_JSON_KEYS = st.one_of(
+    st.text(max_size=6),
+    st.sampled_from(["", "é", "\x00\x1f\n\t\"\\", "\u2028ü", "\U0001f600", "ключ"]),
+)
+_JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(2**63, 2**80),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+    st.sampled_from([-0.0, 5e-324, 1e16, 1e-7, 2.0**53 + 1]),
+    _JSON_KEYS,
+)
+_JSON_TREES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_JSON_KEYS, inner, max_size=4),
+    ),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_TREES)
+def test_json_text_is_the_stdlib_indented_dump(tree):
+    assert cli._json_text(tree) == _stdlib_json(tree)
+
+
+def test_json_text_encodes_a_shared_record_at_each_depth():
+    rec = AttemptRecord(2, 1, 0, True, -np.pi)
+    other = AttemptRecord(1, 1, 1, False, 0.0)
+    obj = {"a": rec, "b": [rec, {"c": (other, rec)}], "d": []}
+    plain = {"a": vars(rec), "b": [vars(rec), {"c": (vars(other), vars(rec))}], "d": []}
+    assert cli._json_text(obj) == _stdlib_json(plain)
+    assert cli._json_text(rec) == _stdlib_json(vars(rec))
+
+
+def test_json_text_writes_non_str_keys_as_the_stdlib_does():
+    numbered = {2: [1.5, {"a": None}], -3: {}, 0.5: {False: "x"}, 10**20: ()}
+    for obj in (numbered, [{"n": numbered}], {"k": [{None: [numbered]}]}):
+        assert cli._json_text(obj) == _stdlib_json(obj)
 
 
 def test_egg_scan_outputs(capsys, tmp_path):
@@ -461,6 +532,24 @@ def test_egg_scan_no_root_is_numeric_failure(capsys, tmp_path):
     assert code == 3
     payload = json.loads(err)
     assert payload["error"] == "NoRoot"
+
+
+def test_egg_rus_finds_the_balanced_point_once(capsys, tmp_path, monkeypatch):
+    calls = []
+
+    def counted(alpha, beta_max=None):
+        calls.append(alpha)
+        return find(alpha, beta_max)
+
+    find = egg.find_balanced_beta
+    monkeypatch.setattr(egg, "find_balanced_beta", counted)
+    monkeypatch.setattr(cli, "find_balanced_beta", counted)
+    egg._rus_setup.cache_clear()
+    code, _, _ = run(capsys, "egg-rus", "--alpha", "0.3", "--trials", "5",
+                     "--out-dir", str(tmp_path))
+    assert code == 0 and calls == [0.3]
+    payload = json.loads((tmp_path / "egg-rus.json").read_text())
+    assert payload["beta"] == find(0.3)
 
 
 def test_egg_rus_consistency(capsys, tmp_path):

@@ -7,15 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adqcsim import egg
 from adqcsim.egg import (
     BALANCE_TOL,
+    RUS_BLOCK,
     AncillaTrajectory,
+    AttemptRecord,
     CollinearPoints,
     ConstraintViolated,
     DegenerateRing,
     EggConfig,
     NoRoot,
     NotCoplanar,
+    RusResult,
     UnequalMagnitudes,
     analytic_overlaps,
     constrained_distance,
@@ -39,6 +43,7 @@ from adqcsim.egg import (
     vertical_plane_check,
 )
 from adqcsim.qmath import (
+    ImpossibleBranchError,
     apply,
     basis_state,
     bloch_to_state,
@@ -46,6 +51,7 @@ from adqcsim.qmath import (
     plus_state,
     rx,
     rz,
+    sample_outcome,
     state_to_bloch,
     tensor,
     wrap_angle,
@@ -463,6 +469,63 @@ def test_run_rus_log_structure():
         assert abs(abs(last.combined_phase) - np.pi) < 1e-6
     # the same stream gives the same result
     assert run_rus(ALPHA, derive_rng(101, 1)) == run_rus(ALPHA, derive_rng(101, 1))
+
+
+def _reference_rus(alpha, rng, max_attempts=1000):
+    """run_rus as one sample_outcome call per round: the loop the blocked kernel replaced."""
+    beta, probs, _, _ = egg._rus_setup(alpha)
+    phase = egg._outcome_phases(alpha, beta)[:2]
+    log = []
+    for attempt in range(1, max_attempts + 1):
+        m1 = sample_outcome(*probs, rng)
+        m2 = sample_outcome(*probs, rng)
+        success = m1 != m2
+        log.append(AttemptRecord(attempt, m1, m2, success, wrap_angle(phase[m1] - phase[m2])))
+        if success:
+            return RusResult(attempt, True, tuple(log))
+    return RusResult(max_attempts, False, tuple(log))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    alpha=st.one_of(st.floats(1e-4, np.pi / 4), st.sampled_from([np.pi / 4, ALPHA])),
+    seed=st.integers(0, 2**64),
+    t=st.integers(0, 10**6),
+    max_attempts=st.sampled_from(
+        [1, RUS_BLOCK - 1, RUS_BLOCK, RUS_BLOCK + 1, 2 * RUS_BLOCK + 1, 1000]
+    ),
+)
+def test_blocked_rus_matches_the_reference_loop(alpha, seed, t, max_attempts):
+    got = run_rus(alpha, derive_rng(seed, t), max_attempts)
+    assert got == _reference_rus(alpha, derive_rng(seed, t), max_attempts)
+    # equal records are one shared object, taken from the set-up's table
+    records = egg._rus_setup(alpha)[3]
+    for rec in got.log:
+        code = 2 * rec.outcome_first + rec.outcome_second
+        assert rec is records[4 * (rec.attempt - 1) + code]
+
+
+def test_blocked_rus_covers_exhausted_runs():
+    # at alpha 1e-3 an attempt succeeds with probability about 4e-6
+    for max_attempts in (1, RUS_BLOCK, 2 * RUS_BLOCK + 1):
+        got = run_rus(1e-3, derive_rng(5, 0), max_attempts)
+        assert not got.success and got.attempts == len(got.log) == max_attempts
+        assert got == _reference_rus(1e-3, derive_rng(5, 0), max_attempts)
+
+
+def test_rus_impossible_branch_raises_on_both_paths(monkeypatch):
+    beta, _, phases, records = egg._rus_setup(ALPHA)
+    # outcome 1 has weight 0 but is drawn half the time
+    monkeypatch.setattr(egg, "_rus_setup", lambda alpha: (beta, (0.5, 0.0), phases, records))
+    for rus in (run_rus, _reference_rus):
+        for t in range(5):
+            with pytest.raises(ImpossibleBranchError):
+                rus(ALPHA, derive_rng(9, t))
+    # outcome 1 has weight 0 and is never drawn: every attempt fails, no error
+    monkeypatch.setattr(egg, "_rus_setup", lambda alpha: (beta, (1.0, 0.0), phases, records))
+    got = run_rus(ALPHA, derive_rng(9, 0), 2 * RUS_BLOCK + 1)
+    assert got == _reference_rus(ALPHA, derive_rng(9, 0), 2 * RUS_BLOCK + 1)
+    assert not got.success
 
 
 def test_run_rus_rejects_bad_alpha():
