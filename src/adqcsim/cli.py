@@ -104,35 +104,49 @@ def _fmt(x) -> str:
 
 
 def _json_text(obj) -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)`` and a newline.
+    """``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)`` and a newline."""
+    return "".join(_json_chunks(obj))
+
+
+def _json_chunks(obj) -> list[str]:
+    """:func:`_json_text` in chunks, so that a large artifact is never one string.
 
     The C encoder has no ``indent``, so lists, tuples, str-keyed dicts and
-    dataclasses (their fields, memoised by id and depth) are joined here.
+    dataclasses (their fields, memoised by id and depth) are written here.
     """
     scalar = json.JSONEncoder(allow_nan=False).encode  # C encoder, exact for scalars
     plain = {int: int.__repr__, bool: {True: "true", False: "false"}.get}
     plain.update(dict.fromkeys((str, float, type(None)), scalar))
     memo: dict = {}
+    out: list[str] = []
 
-    def text(x, pad: str) -> str:
+    def emit(x, pad: str) -> None:
         if type(x) in plain:
-            return plain[type(x)](x)
+            return out.append(plain[type(x)](x))
         key, inner = (id(x), len(pad)), pad + "  "
         if key not in memo and hasattr(type(x), "__dataclass_fields__"):
-            memo[key] = text({f.name: getattr(x, f.name) for f in fields(x)}, pad)
+            text = _json_text({f.name: getattr(x, f.name) for f in fields(x)})
+            memo[key] = text[:-1].replace("\n", "\n" + pad)
         if key in memo:
-            return memo[key]
+            return out.append(memo[key])
         if isinstance(x, dict) and all(isinstance(k, str) for k in x):
-            items = [f"{scalar(k)}: {text(v, inner)}" for k, v in sorted(x.items())]
+            items = [(f"{scalar(k)}: ", v) for k, v in sorted(x.items())]
         elif isinstance(x, (list, tuple)):
-            items = [text(v, inner) for v in x]
+            items = [("", v) for v in x]
         else:  # RFC 8259 has no NaN or Infinity; a JSON string holds no raw newline
             dump = json.dumps(x, indent=2, sort_keys=True, allow_nan=False)
-            return dump.replace("\n", "\n" + pad)
+            return out.append(dump.replace("\n", "\n" + pad))
         ends, sep = "{}" if isinstance(x, dict) else "[]", ",\n" + inner
-        return f"{ends[0]}\n{inner}{sep.join(items)}\n{pad}{ends[1]}" if items else ends
+        if not items:
+            return out.append(ends)
+        for i, (head, v) in enumerate(items):
+            out.append((sep if i else ends[0] + "\n" + inner) + head)
+            emit(v, inner)
+        out.append("\n" + pad + ends[1])
 
-    return text(obj, "") + "\n"
+    emit(obj, "")
+    out.append("\n")
+    return out
 
 
 def _complex_matrix(m: np.ndarray) -> list:
@@ -174,7 +188,7 @@ def _write_outputs(args: argparse.Namespace, files: dict) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, text in named.items():
         with open(out_dir / name, "w", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +333,7 @@ def _cmd_egg_rus(args: argparse.Namespace) -> tuple[dict, str]:
         # the JSON keys are the field names of RusResult and AttemptRecord
         "trials": [{"trial": t, **vars(r)} for t, r in enumerate(trials)],
     }
-    return {"json": _json_text(payload)}, (
+    return {"json": _json_chunks(payload)}, (
         f"egg-rus: mean attempts {payload['mean_attempts']:.2f} "
         f"(analytic {1 / payload['analytic_success_prob']:.2f})\n"
     )

@@ -557,7 +557,9 @@ def test_egg_rus_consistency(capsys, tmp_path):
         capsys, "egg-rus", "--trials", "25", "--seed", "3", "--out-dir", str(tmp_path)
     )
     assert code == 0
-    payload = json.loads((tmp_path / "egg-rus.json").read_text())
+    text = (tmp_path / "egg-rus.json").read_text()
+    payload = json.loads(text)
+    assert text == _stdlib_json(payload)  # written chunk by chunk, same bytes
     assert payload["all_succeeded"]
     assert len(payload["trials"]) == 25
     attempts = [t["attempts"] for t in payload["trials"]]
