@@ -1,17 +1,22 @@
 """Command-line surface: reproducible experiments with file outputs.
 
-Subcommands: classify, kraus, walk, egg-scan, egg-rus, measure.  Global
-flags --seed, --out-dir and --format control randomness and serialization.
+Subcommands: classify, kraus, walk, egg-scan, egg-rus, measure.  Every
+subcommand takes --out-dir.  Only those that draw random numbers (walk,
+egg-rus, measure) take --seed, and only those that write a CSV (walk,
+egg-scan, measure) take --format to pick CSV, JSON summary or both; any
+other combination is an argument error.
 
 Every subcommand computes first and returns its artifacts and its stdout
 text; :func:`main` then writes the artifacts as ``<subcommand>.<suffix>``
-under --out-dir, writes a manifest beside them recording the subcommand,
-parameters (--out-dir relative to the working directory), seed, package
-version and output names, and only then prints.
-So a failed run leaves no file, and re-running the same manifest
-reproduces the files byte for byte.  classify and kraus print JSON and
-write it only under an explicit --out-dir; the other four print one
-summary line and always write, into the current directory by default.
+under --out-dir with a manifest beside them recording the subcommand, its
+parameters (--seed among them, --out-dir relative to the working
+directory), the package version and the output names, and only then
+prints.  All files go to temporaries first and are renamed into place
+together, so a failed run, in the computation or in the writing, leaves no
+file, and re-running the same manifest reproduces the files byte for byte.
+classify and kraus print JSON and write it only under an explicit
+--out-dir; the other four print one summary line and always write, into
+the current directory by default.
 
 Exit codes: 0 success, 2 argument error, 3 numeric failure (for example no
 balanced operating point in the requested range), 4 I/O failure.
@@ -171,7 +176,13 @@ def _echo(args: argparse.Namespace, payload: dict) -> tuple[dict, str]:
 
 
 def _write_outputs(args: argparse.Namespace, files: dict) -> None:
-    """Write each artifact as ``<subcommand>.<suffix>``, then the manifest."""
+    """Write each artifact as ``<subcommand>.<suffix>`` and the manifest, all or none.
+
+    Each file is written whole, chunk by chunk, to a hidden temporary in
+    --out-dir, and the temporaries are renamed into place only once all are
+    written.  If any step fails, every temporary and every file already
+    renamed is removed before the error propagates.
+    """
     named = {f"{args.command}.{suffix}": text for suffix, text in files.items()}
     parameters = {k: v for k, v in vars(args).items() if k != "func"}
     # relative, so that the manifest does not depend on where the run sits
@@ -179,16 +190,25 @@ def _write_outputs(args: argparse.Namespace, files: dict) -> None:
     manifest = {
         "subcommand": args.command,
         "parameters": parameters,
-        "seed": args.seed,
         "version": __version__,
         "outputs": sorted(named),
     }
     named[f"{args.command}_manifest.json"] = _json_text(manifest)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name, text in named.items():
-        with open(out_dir / name, "w", newline="\n") as fh:
-            fh.writelines([text] if isinstance(text, str) else text)
+    written: list[Path] = []  # per file: its temporary, then its target once renamed
+    try:
+        for name, text in named.items():
+            with open(out_dir / f".{name}.{os.getpid()}.tmp", "x", newline="\n") as fh:
+                written.append(Path(fh.name))
+                fh.writelines([text] if isinstance(text, str) else text)
+        for i, name in enumerate(named):
+            os.replace(written[i], out_dir / name)
+            written[i] = out_dir / name
+    except BaseException:
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -382,15 +402,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--seed", type=int, default=0, help="base RNG seed")
+    def common(p: argparse.ArgumentParser, seed: bool, fmt: bool) -> None:
+        """--out-dir always; --seed where the run draws, --format where it has a CSV."""
+        if seed:
+            p.add_argument("--seed", type=int, default=0, help="base RNG seed")
         p.add_argument("--out-dir", default=".", help="directory for output files")
-        p.add_argument(
-            "--format",
-            choices=("csv", "json", "both"),
-            default="both",
-            help="which tabular outputs to write",
-        )
+        if fmt:
+            p.add_argument(
+                "--format",
+                choices=("csv", "json", "both"),
+                default="both",
+                help="which tabular outputs to write",
+            )
 
     p = sub.add_parser("classify", help="canonicalize and classify interaction parameters")
     p.add_argument("ax", type=float)
@@ -402,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=CLI_CLASS_TOL,
         help="tolerance for zero/special-class tests on typed-in decimals",
     )
-    common(p)
+    common(p, seed=False, fmt=False)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("kraus", help="measurement-induced register operators")
@@ -419,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default=KRAUS_DEFAULTS["basis"])
     p.add_argument("--theta", type=float, default=KRAUS_DEFAULTS["theta"],
                    help="C-Rz angle for the weak preset")
-    common(p)
+    common(p, seed=False, fmt=False)
     p.set_defaults(func=_cmd_kraus)
 
     p = sub.add_parser("walk", help="stochastic gate-product walks to a target")
@@ -431,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="target is rx of this angle")
     p.add_argument("--max-steps", type=int, default=1_000_000)
     p.add_argument("--svg", action="store_true", help="also write an SVG histogram")
-    common(p)
+    common(p, seed=True, fmt=True)
     p.set_defaults(func=_cmd_walk)
 
     p = sub.add_parser("egg-scan", help="outcome phases over the preparation split")
@@ -439,14 +462,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta-min", type=float, default=0.0)
     p.add_argument("--beta-max", type=float, default=None)
     p.add_argument("--samples", type=int, default=101)
-    common(p)
+    common(p, seed=False, fmt=True)
     p.set_defaults(func=_cmd_egg_scan)
 
     p = sub.add_parser("egg-rus", help="repeat-until-success CZ at the balanced point")
     p.add_argument("--alpha", type=float, default=np.pi / 16)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--max-attempts", type=int, default=1000)
-    common(p)
+    common(p, seed=True, fmt=False)
     p.set_defaults(func=_cmd_egg_rus)
 
     p = sub.add_parser("measure", help="iterative weak z-measurement chains")
@@ -455,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", type=float, nargs=2, default=[np.pi / 2, 0.0],
                    metavar=("THETA", "PHI"), help="input register Bloch angles")
     p.add_argument("--trials", type=int, default=1000)
-    common(p)
+    common(p, seed=True, fmt=True)
     p.set_defaults(func=_cmd_measure)
 
     return parser

@@ -20,9 +20,10 @@ phases differ by pi: beta* = arctan(sin 2 alpha) / 2, where an attempt
 succeeds with probability sin^2 2 alpha / (1 + sin^2 2 alpha) (derived at
 :func:`find_balanced_beta`, which finds beta* to within ``BALANCE_TOL``).
 
-Geometric checks (plane through three points, distance of the fourth,
-closed-form distance under the symmetric constraints) follow determinant
-constructions on the Bloch sphere.
+The ring axis is the normalised cross product of three of the Bloch
+points.  The tests check it against an independent determinant construction
+of the plane, the coplanarity distance of the fourth point and its closed
+form under the symmetric constraints (``tests/oracle.py``).
 """
 
 from __future__ import annotations
@@ -73,14 +74,6 @@ class DegenerateRing(EggError):
 
 class UnequalMagnitudes(EggError):
     """Measurement basis leaks register information (non-unitary back-action)."""
-
-
-class CollinearPoints(EggError):
-    """Three points do not determine a plane."""
-
-
-class ConstraintViolated(EggError):
-    """Input does not satisfy the symmetric constraint pattern."""
 
 
 # ---------------------------------------------------------------------------
@@ -185,20 +178,23 @@ def _distinct_points(pts: list[np.ndarray]) -> list[np.ndarray]:
 def _ring_axis(pts: list[np.ndarray]) -> tuple[np.ndarray, float]:
     """Unit normal of the common ring plane, oriented to non-negative height.
 
-    Raises DegenerateRing for fewer than three distinct points and
-    NotCoplanar when any point leaves the plane of the first three distinct
-    ones by more than ``COPLANAR_TOL``.
+    The normal is the cross product (p1 - p0) x (p2 - p0) of the first
+    three distinct points, for every ring, great circles included.  Raises
+    DegenerateRing for fewer than three distinct points or a normal shorter
+    than ``COLLINEAR_TOL`` (collinear points), and NotCoplanar when any
+    point leaves the plane by more than ``COPLANAR_TOL``.
     """
     distinct = _distinct_points(pts)
     if len(distinct) < 3:
         raise DegenerateRing(f"only {len(distinct)} distinct ancilla points")
-    coeffs = plane_coefficients(distinct[0], distinct[1], distinct[2])
-    n = np.array([coeffs.a, coeffs.b, coeffs.c])
+    p0, p1, p2 = distinct[:3]
+    n = np.cross(p1 - p0, p2 - p0)
     norm = np.linalg.norm(n)
-    for p in pts:
-        if abs(float(n @ p) + coeffs.d) / norm > COPLANAR_TOL:
-            raise NotCoplanar("final ancilla states are not concircular")
+    if norm < COLLINEAR_TOL:
+        raise DegenerateRing("the distinct ancilla points are collinear")
     n_hat = n / norm
+    if any(abs(float(n_hat @ (p - p0))) > COPLANAR_TOL for p in pts):
+        raise NotCoplanar("final ancilla states are not concircular")
     height = float(np.mean([n_hat @ p for p in pts]))
     if height < 0:
         n_hat, height = -n_hat, -height
@@ -299,40 +295,6 @@ def entangling_phase(phi: np.ndarray) -> float:
     """Residual controlled phase (phi11 - phi10) - (phi01 - phi00) in (-pi, pi]."""
     phi = np.asarray(phi, dtype=float).reshape(2, 2)
     return wrap_angle((phi[1, 1] - phi[1, 0]) - (phi[0, 1] - phi[0, 0]))
-
-
-@dataclass(frozen=True)
-class LocalReduction:
-    """Split of diagonal phases into local z-phases and a controlled phase."""
-
-    a1: float
-    a2: float
-    b1: float
-    b2: float
-    Phi: float
-
-    @property
-    def residual(self) -> np.ndarray:
-        """The leftover two-qubit gate diag(1, 1, 1, e^{i Phi})."""
-        return np.diag([1, 1, 1, np.exp(1j * self.Phi)]).astype(complex)
-
-    def reconstruct(self) -> np.ndarray:
-        """diag(e^{i a_i}) x diag(e^{i b_j}) . residual; equals the input."""
-        local = np.kron(
-            np.diag(np.exp(1j * np.array([self.a1, self.a2]))),
-            np.diag(np.exp(1j * np.array([self.b1, self.b2]))),
-        )
-        return local @ self.residual
-
-
-def local_reduction(phi: np.ndarray) -> LocalReduction:
-    """Factor phases phi_ij = a_i + b_j + Phi [i=j=1] with the gauge a1 = 0."""
-    phi = np.asarray(phi, dtype=float).reshape(2, 2)
-    b1 = float(phi[0, 0])
-    b2 = float(phi[0, 1])
-    a2 = float(phi[1, 0] - phi[0, 0])
-    big_phi = float(phi[1, 1] - phi[1, 0] - phi[0, 1] + phi[0, 0])
-    return LocalReduction(a1=0.0, a2=a2, b1=b1, b2=b2, Phi=big_phi)
 
 
 # ---------------------------------------------------------------------------
@@ -558,98 +520,3 @@ def run_rus(
         if won.size:
             return RusResult(start + k, True, tuple(log))
     return RusResult(max_attempts, False, tuple(log))
-
-
-# ---------------------------------------------------------------------------
-# Bloch-sphere plane geometry
-
-
-@dataclass(frozen=True)
-class PlaneCoefficients:
-    """Coefficients of a plane a x + b y + c z + d = 0 through three points."""
-
-    a: float
-    b: float
-    c: float
-    d: float
-    used_fallback: bool = False
-
-
-def plane_coefficients(
-    p1: np.ndarray, p2: np.ndarray, p3: np.ndarray
-) -> PlaneCoefficients:
-    """Determinant construction of the plane through three Cartesian points.
-
-    Sets d to the coordinate determinant D and each of a, b, c to minus the
-    determinant with the corresponding column replaced by ones.  When D = 0
-    (plane through the origin) that scaling collapses, so the normal is
-    rebuilt from cross products and the result is flagged as a fallback.
-    """
-    pts = np.array([p1, p2, p3], dtype=float)
-    cross = np.cross(pts[1] - pts[0], pts[2] - pts[0])
-    if np.linalg.norm(cross) < COLLINEAR_TOL:
-        raise CollinearPoints("three points do not determine a plane")
-    d = float(np.linalg.det(pts))
-    if abs(d) < 1e-12:
-        return PlaneCoefficients(
-            a=float(cross[0]),
-            b=float(cross[1]),
-            c=float(cross[2]),
-            d=float(-cross @ pts[0]),
-            used_fallback=True,
-        )
-    ones = np.ones(3)
-    coeffs = []
-    for col in range(3):
-        m = pts.copy()
-        m[:, col] = ones
-        coeffs.append(-float(np.linalg.det(m)))
-    return PlaneCoefficients(coeffs[0], coeffs[1], coeffs[2], d)
-
-
-def coplanarity_distance(
-    p1: np.ndarray, p2: np.ndarray, p3: np.ndarray, p4: np.ndarray
-) -> float:
-    """Unnormalised distance of the fourth point from the plane of the first three."""
-    c = plane_coefficients(p1, p2, p3)
-    p4 = np.asarray(p4, dtype=float)
-    return float(abs(c.a * p4[0] + c.b * p4[1] + c.c * p4[2] + c.d))
-
-
-def spherical_point(theta: float, phi: float) -> np.ndarray:
-    return BlochPoint(theta, phi).cartesian
-
-
-def constrained_distance(
-    theta2: float,
-    theta4: float,
-    phi1: float,
-    phi2: float,
-    phi3: float,
-    phi4: float,
-) -> float:
-    """Closed-form coplanarity defect for the symmetric point pattern.
-
-    The four sphere points are (theta2, phi1), (theta2, phi2),
-    (theta4, phi3), (theta4, phi4) with equal azimuth gaps
-    phi2 - phi1 = phi4 - phi3 (the two interactions rotate both point pairs
-    by the same angle).  The returned value's zero set matches
-    coplanarity_distance on these inputs.
-    """
-    if abs(wrap_angle((phi2 - phi1) - (phi4 - phi3))) > 1e-9:
-        raise ConstraintViolated("azimuth gaps phi2-phi1 and phi4-phi3 differ")
-    mid = (phi3 + phi4) / 2
-    return float(
-        2.0
-        * (np.cos(theta2) - np.cos(theta4))
-        * (np.cos(phi2 - mid) - np.cos(phi1 - mid))
-        * np.sin(theta2)
-        * np.sin(theta4)
-        * np.sin((phi3 - phi4) / 2)
-    )
-
-
-def vertical_plane_check(phi1: float, phi3: float, tol: float = 1e-9) -> bool:
-    """True when phi1 = phi3 + n pi, i.e. both pairs share a vertical plane."""
-    r = (phi1 - phi3) % np.pi
-    return bool(min(r, np.pi - r) < tol)

@@ -39,7 +39,6 @@ from .qmath import (
     basis_state,
     c_rz,
     hadamard,
-    plus_state,
     sample_outcome,
     tensor,
 )
@@ -76,14 +75,6 @@ def required_steps(theta: float, epsilon: float) -> int:
     if c >= 1.0:
         raise ValueError("theta is too small: cos(theta/2) rounds to 1")
     return max(1, int(np.ceil(np.log(epsilon) / np.log(c))))
-
-
-def step_operators(theta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Effective per-round register operators (H correction included)."""
-    half = theta / 2
-    m0 = np.diag([1.0, np.cos(half)]).astype(complex)
-    m1 = np.diag([0.0, -1j * np.sin(half)])
-    return m0, m1
 
 
 def weak_step(
@@ -177,19 +168,6 @@ def measurement_ensemble(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     return [run_measurement(register, cfg, derive_rng(seed, t)) for t in range(trials)]
-
-
-def initialize_register(
-    cfg: MeasureConfig, rng: np.random.Generator
-) -> tuple[np.ndarray, int]:
-    """Prepare a fresh register near |0> or exactly in |1> from |+>.
-
-    Runs :func:`run_measurement` with ``rng`` on the maximally undetermined
-    |+> input and returns (state, label); the label-0 state is within the
-    residual bound of |0>.
-    """
-    result = run_measurement(plus_state(), cfg, rng)
-    return result.post_state, result.label
 
 
 def interaction_cost(steps: int) -> int:

@@ -54,19 +54,8 @@ def rx(theta: float) -> np.ndarray:
     return np.array([[c, -1j * s], [-1j * s, c]])
 
 
-def ry(theta: float) -> np.ndarray:
-    """Rotation about y by ``theta`` (real matrix)."""
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    return np.array([[c, -s], [s, c]], dtype=complex)
-
-
 def hadamard() -> np.ndarray:
     return np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-
-
-def j_gate(beta: float) -> np.ndarray:
-    """The one-parameter family J(beta) = H rz(beta)."""
-    return hadamard() @ rz(beta)
 
 
 def c_rz(theta: float, control: int = 0) -> np.ndarray:
@@ -145,35 +134,6 @@ def as_unitary(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def num_qubits(state: np.ndarray) -> int:
-    n = int(np.asarray(state).size)
-    q = n.bit_length() - 1
-    if 2**q != n:
-        raise ValueError(f"state dimension {n} is not a power of two")
-    return q
-
-
-def apply(gate: np.ndarray, state: np.ndarray, qubits: tuple[int, ...] | int) -> np.ndarray:
-    """Apply a k-qubit gate to the listed tensor factors of an n-qubit ket.
-
-    ``qubits`` orders the gate's own factors, so ``apply(e, psi, (2, 0))``
-    uses qubit 2 as the gate's first factor.
-    """
-    if isinstance(qubits, int):
-        qubits = (qubits,)
-    state = np.asarray(state, dtype=complex).reshape(-1)
-    n = num_qubits(state)
-    k = len(qubits)
-    gate = np.asarray(gate, dtype=complex)
-    if gate.shape != (2**k, 2**k):
-        raise ValueError(f"gate shape {gate.shape} does not act on {k} qubits")
-    if len(set(qubits)) != k or any(q < 0 or q >= n for q in qubits):
-        raise ValueError(f"bad qubit indices {qubits} for {n} qubits")
-    psi = np.moveaxis(state.reshape([2] * n), qubits, range(k))
-    psi = (gate @ psi.reshape(2**k, -1)).reshape([2] * n)
-    return np.moveaxis(psi, range(k), qubits).reshape(-1)
-
-
 def trace_distance(u: np.ndarray, v: np.ndarray) -> float:
     """Normalised, phase-invariant distance sqrt((2 - |Tr(U^dag V)|) / 2).
 
@@ -197,16 +157,6 @@ def phase_aligned_max_diff(u: np.ndarray, v: np.ndarray) -> float:
         return float(np.max(np.abs(u - v)))
     phase = inner / abs(inner)
     return float(np.max(np.abs(u - phase * v)))
-
-
-def _check_basis(basis: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    m0 = as_state(basis[0])
-    m1 = as_state(basis[1])
-    if m0.size != 2 or m1.size != 2:
-        raise ValueError("measurement basis must consist of one-qubit kets")
-    if abs(np.vdot(m0, m1)) > STATE_TOL:
-        raise ValueError("measurement basis is not orthogonal")
-    return m0, m1
 
 
 def sample_outcome(
@@ -235,37 +185,6 @@ def sample_outcome(
     if weight < BRANCH_TOL:
         raise ImpossibleBranchError(f"branch {outcome} has probability {weight:.3e}")
     return outcome
-
-
-def measure_qubit(
-    state: np.ndarray,
-    qubit: int,
-    basis: tuple[np.ndarray, np.ndarray],
-    rng: np.random.Generator | None = None,
-    forced: int | None = None,
-) -> tuple[int, float, np.ndarray]:
-    """Projectively measure one qubit in an orthonormal one-qubit basis.
-
-    Returns ``(outcome, probability, post_state)`` where the post state no
-    longer contains the measured qubit (for a single-qubit input the
-    collapsed basis state is returned instead).  The outcome is drawn, or
-    forced, by :func:`sample_outcome`.
-    """
-    state = as_state(state)
-    n = num_qubits(state)
-    if qubit < 0 or qubit >= n:
-        raise ValueError(f"qubit {qubit} out of range for {n} qubits")
-    m0, m1 = _check_basis(basis)
-    psi = np.moveaxis(state.reshape([2] * n), qubit, 0).reshape(2, -1)
-    branches = [m0.conj() @ psi, m1.conj() @ psi]
-    probs = [float(np.vdot(b, b).real) for b in branches]
-    outcome = sample_outcome(*probs, rng, forced)
-    p = probs[outcome]
-    if n == 1:
-        post = (m0, m1)[outcome].copy()
-    else:
-        post = branches[outcome] / np.sqrt(p)
-    return outcome, p, post
 
 
 @dataclass(frozen=True)

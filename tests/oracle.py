@@ -1,0 +1,232 @@
+"""Reference code the tests check the library against, kept out of ``src/``.
+
+A dense statevector toolkit (``apply``, ``measure_qubit``, ``ry``), the weak
+chain's per-round operators, and the determinant geometry of the plane
+through Bloch points with the closed form of its coplanarity defect.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from adqcsim.egg import COLLINEAR_TOL, EggError
+from adqcsim.qmath import STATE_TOL, BlochPoint, as_state, sample_outcome, wrap_angle
+
+
+def ry(theta: float) -> np.ndarray:
+    """Rotation about y by ``theta`` (real matrix)."""
+    c, s = np.cos(theta / 2), np.sin(theta / 2)
+    return np.array([[c, -s], [s, c]], dtype=complex)
+
+
+def num_qubits(state: np.ndarray) -> int:
+    n = int(np.asarray(state).size)
+    q = n.bit_length() - 1
+    if 2**q != n:
+        raise ValueError(f"state dimension {n} is not a power of two")
+    return q
+
+
+def apply(gate: np.ndarray, state: np.ndarray, qubits: tuple[int, ...] | int) -> np.ndarray:
+    """Apply a k-qubit gate to the listed tensor factors of an n-qubit ket.
+
+    ``qubits`` orders the gate's own factors, so ``apply(e, psi, (2, 0))``
+    uses qubit 2 as the gate's first factor.
+    """
+    if isinstance(qubits, int):
+        qubits = (qubits,)
+    state = np.asarray(state, dtype=complex).reshape(-1)
+    n = num_qubits(state)
+    k = len(qubits)
+    gate = np.asarray(gate, dtype=complex)
+    if gate.shape != (2**k, 2**k):
+        raise ValueError(f"gate shape {gate.shape} does not act on {k} qubits")
+    if len(set(qubits)) != k or any(q < 0 or q >= n for q in qubits):
+        raise ValueError(f"bad qubit indices {qubits} for {n} qubits")
+    psi = np.moveaxis(state.reshape([2] * n), qubits, range(k))
+    psi = (gate @ psi.reshape(2**k, -1)).reshape([2] * n)
+    return np.moveaxis(psi, range(k), qubits).reshape(-1)
+
+
+def _check_basis(basis: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    m0 = as_state(basis[0])
+    m1 = as_state(basis[1])
+    if m0.size != 2 or m1.size != 2:
+        raise ValueError("measurement basis must consist of one-qubit kets")
+    if abs(np.vdot(m0, m1)) > STATE_TOL:
+        raise ValueError("measurement basis is not orthogonal")
+    return m0, m1
+
+
+def measure_qubit(
+    state: np.ndarray,
+    qubit: int,
+    basis: tuple[np.ndarray, np.ndarray],
+    rng: np.random.Generator | None = None,
+    forced: int | None = None,
+) -> tuple[int, float, np.ndarray]:
+    """Projectively measure one qubit in an orthonormal one-qubit basis.
+
+    Returns ``(outcome, probability, post_state)`` where the post state no
+    longer contains the measured qubit (for a single-qubit input the
+    collapsed basis state is returned instead).  The outcome is drawn, or
+    forced, by :func:`~adqcsim.qmath.sample_outcome`.
+    """
+    state = as_state(state)
+    n = num_qubits(state)
+    if qubit < 0 or qubit >= n:
+        raise ValueError(f"qubit {qubit} out of range for {n} qubits")
+    m0, m1 = _check_basis(basis)
+    psi = np.moveaxis(state.reshape([2] * n), qubit, 0).reshape(2, -1)
+    branches = [m0.conj() @ psi, m1.conj() @ psi]
+    probs = [float(np.vdot(b, b).real) for b in branches]
+    outcome = sample_outcome(*probs, rng, forced)
+    p = probs[outcome]
+    if n == 1:
+        post = (m0, m1)[outcome].copy()
+    else:
+        post = branches[outcome] / np.sqrt(p)
+    return outcome, p, post
+
+
+def step_operators(theta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Effective per-round register operators (H correction included)."""
+    half = theta / 2
+    m0 = np.diag([1.0, np.cos(half)]).astype(complex)
+    m1 = np.diag([0.0, -1j * np.sin(half)])
+    return m0, m1
+
+
+class CollinearPoints(EggError):
+    """Three points do not determine a plane."""
+
+
+class ConstraintViolated(EggError):
+    """Input does not satisfy the symmetric constraint pattern."""
+
+
+@dataclass(frozen=True)
+class LocalReduction:
+    """Split of diagonal phases into local z-phases and a controlled phase."""
+
+    a1: float
+    a2: float
+    b1: float
+    b2: float
+    Phi: float
+
+    @property
+    def residual(self) -> np.ndarray:
+        """The leftover two-qubit gate diag(1, 1, 1, e^{i Phi})."""
+        return np.diag([1, 1, 1, np.exp(1j * self.Phi)]).astype(complex)
+
+    def reconstruct(self) -> np.ndarray:
+        """diag(e^{i a_i}) x diag(e^{i b_j}) . residual; equals the input."""
+        local = np.kron(
+            np.diag(np.exp(1j * np.array([self.a1, self.a2]))),
+            np.diag(np.exp(1j * np.array([self.b1, self.b2]))),
+        )
+        return local @ self.residual
+
+
+def local_reduction(phi: np.ndarray) -> LocalReduction:
+    """Factor phases phi_ij = a_i + b_j + Phi [i=j=1] with the gauge a1 = 0."""
+    phi = np.asarray(phi, dtype=float).reshape(2, 2)
+    b1 = float(phi[0, 0])
+    b2 = float(phi[0, 1])
+    a2 = float(phi[1, 0] - phi[0, 0])
+    big_phi = float(phi[1, 1] - phi[1, 0] - phi[0, 1] + phi[0, 0])
+    return LocalReduction(a1=0.0, a2=a2, b1=b1, b2=b2, Phi=big_phi)
+
+
+@dataclass(frozen=True)
+class PlaneCoefficients:
+    """Coefficients of a plane a x + b y + c z + d = 0 through three points."""
+
+    a: float
+    b: float
+    c: float
+    d: float
+    used_fallback: bool = False
+
+
+def plane_coefficients(
+    p1: np.ndarray, p2: np.ndarray, p3: np.ndarray
+) -> PlaneCoefficients:
+    """Determinant construction of the plane through three Cartesian points.
+
+    Sets d to the coordinate determinant D and each of a, b, c to minus the
+    determinant with the corresponding column replaced by ones.  When D = 0
+    (plane through the origin) that scaling collapses, so the normal is
+    rebuilt from cross products and the result is flagged as a fallback.
+    """
+    pts = np.array([p1, p2, p3], dtype=float)
+    cross = np.cross(pts[1] - pts[0], pts[2] - pts[0])
+    if np.linalg.norm(cross) < COLLINEAR_TOL:
+        raise CollinearPoints("three points do not determine a plane")
+    d = float(np.linalg.det(pts))
+    if abs(d) < 1e-12:
+        return PlaneCoefficients(
+            a=float(cross[0]),
+            b=float(cross[1]),
+            c=float(cross[2]),
+            d=float(-cross @ pts[0]),
+            used_fallback=True,
+        )
+    ones = np.ones(3)
+    coeffs = []
+    for col in range(3):
+        m = pts.copy()
+        m[:, col] = ones
+        coeffs.append(-float(np.linalg.det(m)))
+    return PlaneCoefficients(coeffs[0], coeffs[1], coeffs[2], d)
+
+
+def coplanarity_distance(
+    p1: np.ndarray, p2: np.ndarray, p3: np.ndarray, p4: np.ndarray
+) -> float:
+    """Unnormalised distance of the fourth point from the plane of the first three."""
+    c = plane_coefficients(p1, p2, p3)
+    p4 = np.asarray(p4, dtype=float)
+    return float(abs(c.a * p4[0] + c.b * p4[1] + c.c * p4[2] + c.d))
+
+
+def spherical_point(theta: float, phi: float) -> np.ndarray:
+    return BlochPoint(theta, phi).cartesian
+
+
+def constrained_distance(
+    theta2: float,
+    theta4: float,
+    phi1: float,
+    phi2: float,
+    phi3: float,
+    phi4: float,
+) -> float:
+    """Closed-form coplanarity defect for the symmetric point pattern.
+
+    The four sphere points are (theta2, phi1), (theta2, phi2),
+    (theta4, phi3), (theta4, phi4) with equal azimuth gaps
+    phi2 - phi1 = phi4 - phi3 (the two interactions rotate both point pairs
+    by the same angle).  The returned value's zero set matches
+    coplanarity_distance on these inputs.
+    """
+    if abs(wrap_angle((phi2 - phi1) - (phi4 - phi3))) > 1e-9:
+        raise ConstraintViolated("azimuth gaps phi2-phi1 and phi4-phi3 differ")
+    mid = (phi3 + phi4) / 2
+    return float(
+        2.0
+        * (np.cos(theta2) - np.cos(theta4))
+        * (np.cos(phi2 - mid) - np.cos(phi1 - mid))
+        * np.sin(theta2)
+        * np.sin(theta4)
+        * np.sin((phi3 - phi4) / 2)
+    )
+
+
+def vertical_plane_check(phi1: float, phi3: float, tol: float = 1e-9) -> bool:
+    """True when phi1 = phi3 + n pi, i.e. both pairs share a vertical plane."""
+    r = (phi1 - phi3) % np.pi
+    return bool(min(r, np.pi - r) < tol)

@@ -17,26 +17,20 @@ from scipy import stats
 
 from adqcsim.egg import (
     analytic_overlaps,
-    constrained_distance,
-    coplanarity_distance,
     delta_phi_raw,
     find_balanced_beta,
     outcome_probabilities,
     run_rus,
-    spherical_point,
     success_probability,
-    vertical_plane_check,
 )
 from adqcsim.interaction import delta_gate
 from adqcsim.kraus import hh_crz_interaction, kraus_for, program_deterministic
 from adqcsim.measure import MeasureConfig, measurement_ensemble, required_steps
 from adqcsim.qmath import (
-    apply,
     basis_state,
     hadamard,
     haar_state,
     haar_unitary,
-    measure_qubit,
     phase_aligned_max_diff,
     plus_state,
     rx,
@@ -54,6 +48,15 @@ from adqcsim.sqwalk import (
     log_linear_r2,
     run_ensemble,
     walk_config,
+)
+
+from oracle import (
+    apply,
+    constrained_distance,
+    coplanarity_distance,
+    measure_qubit,
+    spherical_point,
+    vertical_plane_check,
 )
 
 ALPHA = np.pi / 16

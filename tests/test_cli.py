@@ -186,7 +186,7 @@ def test_walk_outputs_and_reproducibility(capsys, tmp_path):
 
     manifest = json.loads((d1 / "walk_manifest.json").read_text())
     assert manifest["outputs"] == ["walk.csv", "walk.json", "walk.svg"]
-    assert manifest["seed"] == 11
+    assert manifest["parameters"]["seed"] == 11
     assert manifest["parameters"]["preset"] == "two-param"
 
 
@@ -638,6 +638,40 @@ def test_unknown_subcommand_is_parse_error(capsys, tmp_path):
         assert exc.value.code == 2
     capsys.readouterr()
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", "0", "0", "0", "--seed", "1"),
+        ("kraus", "--seed", "1"),
+        ("egg-scan", "--samples", "3", "--seed", "1"),
+        ("classify", "0", "0", "0", "--format", "csv"),
+        ("kraus", "--format", "json"),
+        ("egg-rus", "--trials", "2", "--format", "both"),
+    ],
+)
+def test_seed_and_format_only_where_they_act(capsys, tmp_path, argv):
+    # classify, kraus and egg-scan draw nothing; classify, kraus and egg-rus write JSON only
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--out-dir", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_write_leaves_no_file(capsys, tmp_path):
+    # walk.csv is written before walk.json would be; a directory in walk.json's place
+    # makes the run fail, and neither walk.csv nor any temporary may be left behind
+    (tmp_path / "walk.json").mkdir()
+    code, out, err = run(
+        capsys, "walk", "--trials", "5", "--epsilon", "0.5", "--out-dir", str(tmp_path)
+    )
+    assert code == 4
+    assert json.loads(err)["error"] == "IOError"
+    assert out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["walk.json"]
+    assert list((tmp_path / "walk.json").iterdir()) == []
 
 
 def test_version_flag(capsys):

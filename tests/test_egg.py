@@ -13,8 +13,6 @@ from adqcsim.egg import (
     RUS_BLOCK,
     AncillaTrajectory,
     AttemptRecord,
-    CollinearPoints,
-    ConstraintViolated,
     DegenerateRing,
     EggConfig,
     NoRoot,
@@ -22,29 +20,22 @@ from adqcsim.egg import (
     RusResult,
     UnequalMagnitudes,
     analytic_overlaps,
-    constrained_distance,
-    coplanarity_distance,
     delta_phi_raw,
     effective_beta,
     entangling_phase,
     final_ancilla_states,
     find_balanced_beta,
-    local_reduction,
     midpoint_measurement,
     outcome_probabilities,
     phi_scan,
-    plane_coefficients,
     register_unitary,
     run_rus,
-    spherical_point,
     success_probability,
     symmetric_config,
     theta_prep_for_beta,
-    vertical_plane_check,
 )
 from adqcsim.qmath import (
     ImpossibleBranchError,
-    apply,
     basis_state,
     bloch_to_state,
     computational_basis,
@@ -58,6 +49,18 @@ from adqcsim.qmath import (
 )
 from adqcsim.interaction import delta_gate
 from adqcsim.seeding import derive_rng
+
+from oracle import (
+    CollinearPoints,
+    ConstraintViolated,
+    apply,
+    constrained_distance,
+    coplanarity_distance,
+    local_reduction,
+    plane_coefficients,
+    spherical_point,
+    vertical_plane_check,
+)
 
 ALPHA = np.pi / 16
 
@@ -224,6 +227,27 @@ def test_off_plane_point_raises():
     states.append(bloch_to_state(0.8 + 1e-4, 3 * np.pi / 2))
     with pytest.raises(NotCoplanar):
         midpoint_measurement(_manual_trajectory(states))
+
+
+@pytest.mark.parametrize("beta", [np.pi / 16, np.pi / 8])
+def test_great_circle_ring_axis(beta):
+    # at alpha = pi/4 the ring is a great circle: its plane holds the origin, so the
+    # height is about 1e-17 and the axis sign is not asserted
+    t = final_ancilla_states(symmetric_config(np.pi / 4, beta))
+    pts = [b.cartesian for b in t.bloch]
+    axis, _ = egg._ring_axis(pts)
+    assert max(abs(float(axis @ p)) for p in pts) < 1e-12
+    mb = midpoint_measurement(t)
+    overlaps = [abs(np.vdot(mb.m, s)) ** 2 for s in t.final_states]
+    np.testing.assert_allclose(overlaps, 0.5, atol=1e-12)
+
+
+def test_nearly_coincident_points_are_a_degenerate_ring():
+    # three distinct points 1e-7 apart: their cross-product normal is about 1e-14 long
+    p = np.array([0.0, 0.0, 1.0])
+    pts = [p, p + [1e-7, 0.0, 0.0], p + [0.0, 1e-7, 0.0]]
+    with pytest.raises(DegenerateRing):
+        egg._ring_axis(pts)
 
 
 def test_register_unitary_wrong_basis_leaks():

@@ -18,13 +18,11 @@ from adqcsim.kraus import (
 )
 from adqcsim.measure import weak_interaction
 from adqcsim.qmath import (
-    apply,
     basis_state,
     computational_basis,
     hadamard,
     haar_state,
     haar_unitary,
-    measure_qubit,
     pauli,
     phase_aligned_max_diff,
     plus_state,
@@ -32,6 +30,8 @@ from adqcsim.qmath import (
     tensor,
     x_basis,
 )
+
+from oracle import measure_qubit
 
 
 def test_diagonal_interaction_computational_ancilla():

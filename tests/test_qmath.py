@@ -6,7 +6,6 @@ import pytest
 from adqcsim import qmath
 from adqcsim.qmath import (
     ImpossibleBranchError,
-    apply,
     as_state,
     as_unitary,
     basis_state,
@@ -17,13 +16,10 @@ from adqcsim.qmath import (
     hadamard,
     haar_state,
     haar_unitary,
-    j_gate,
-    measure_qubit,
     pauli,
     phase_aligned_max_diff,
     plus_state,
     rx,
-    ry,
     rz,
     sample_outcome,
     state_to_bloch,
@@ -32,6 +28,8 @@ from adqcsim.qmath import (
     wrap_angle,
     x_basis,
 )
+
+from oracle import apply, measure_qubit, ry
 
 I2 = np.eye(2)
 
@@ -88,13 +86,6 @@ def test_rz_rx_rz_sandwich_matrix():
         ) / np.sqrt(2)
         got = rz(2 * a) @ rx(np.pi / 2) @ rz(2 * b)
         np.testing.assert_allclose(got, expected, atol=1e-14)
-
-
-def test_j_gate():
-    np.testing.assert_allclose(j_gate(0), hadamard(), atol=1e-15)
-    beta = 0.41
-    np.testing.assert_allclose(j_gate(beta), hadamard() @ rz(beta), atol=1e-15)
-    np.testing.assert_allclose(j_gate(beta).conj().T @ j_gate(beta), I2, atol=1e-14)
 
 
 def test_c_rz_and_c_phase():

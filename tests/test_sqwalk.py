@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adqcsim.qmath import haar_unitary, hadamard, identity, rx, ry, rz, trace_distance
+from adqcsim.qmath import haar_unitary, hadamard, identity, rx, rz, trace_distance
 from adqcsim.seeding import derive_rng
 from adqcsim.sqwalk import (
     Histogram,
@@ -22,6 +22,8 @@ from adqcsim.sqwalk import (
     run_walk,
     walk_config,
 )
+
+from oracle import ry
 
 
 def test_one_parameter_gates():
