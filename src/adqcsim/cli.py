@@ -172,7 +172,7 @@ def _tables(args: argparse.Namespace, header: list[str], rows, summary: dict) ->
 def _echo(args: argparse.Namespace, payload: dict) -> tuple[dict, str]:
     """Print ``payload``; write it as a file only under an explicit --out-dir."""
     text = _json_text(payload)
-    return ({"json": text} if args.out_dir != "." else {}), text
+    return ({"json": text} if args.out_dir is not None else {}), text
 
 
 def _write_outputs(args: argparse.Namespace, files: dict) -> None:
@@ -186,7 +186,8 @@ def _write_outputs(args: argparse.Namespace, files: dict) -> None:
     named = {f"{args.command}.{suffix}": text for suffix, text in files.items()}
     parameters = {k: v for k, v in vars(args).items() if k != "func"}
     # relative, so that the manifest does not depend on where the run sits
-    parameters["out_dir"] = os.path.relpath(args.out_dir)
+    out_dir = "." if args.out_dir is None else args.out_dir
+    parameters["out_dir"] = os.path.relpath(out_dir)
     manifest = {
         "subcommand": args.command,
         "parameters": parameters,
@@ -194,7 +195,7 @@ def _write_outputs(args: argparse.Namespace, files: dict) -> None:
         "outputs": sorted(named),
     }
     named[f"{args.command}_manifest.json"] = _json_text(manifest)
-    out_dir = Path(args.out_dir)
+    out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []  # per file: its temporary, then its target once renamed
     try:
@@ -406,7 +407,11 @@ def build_parser() -> argparse.ArgumentParser:
         """--out-dir always; --seed where the run draws, --format where it has a CSV."""
         if seed:
             p.add_argument("--seed", type=int, default=0, help="base RNG seed")
-        p.add_argument("--out-dir", default=".", help="directory for output files")
+        p.add_argument(
+            "--out-dir",
+            help="directory for output files (default: the current directory; "
+            "classify and kraus write files only when it is given)",
+        )
         if fmt:
             p.add_argument(
                 "--format",

@@ -24,12 +24,26 @@ round k + 1 reads 1 with probability
 :func:`run_measurement` compares blocks of ``rng.random(min(4096, rounds
 left))`` with p0_k: a chain of n <= 4096 rounds takes all n draws even when
 it halts early, a longer one stops after the block that holds its click, and
-memory is bounded by the block, not by n.
+memory is bounded by the block, not by n.  The thresholds of a round block
+are computed once per register, theta and block start and kept, read-only,
+in a small cache shared by every chain.
+
+:func:`measurement_ensemble` runs trial t on the stream ``derive_rng(seed,
+t)`` without deriving it.  It works through the trials in blocks of 2^14
+draws (128 KiB) or 64 trials, whichever is more, so at most 2^18 draws
+(2 MiB): :func:`~adqcsim.seeding.stream_block` draws the first
+min(n, 4096) draws of every trial in the block at once, bit for bit, and each
+trial's :func:`run_measurement` reads them through a lane.  A lane's first
+``random(m)`` returns the trial's row; a later call, which only a chain
+longer than 4096 rounds makes, continues the same stream as
+``derive_rng(seed, t)`` advanced past the draws already served.  So every
+chain reads what it would read from ``derive_rng(seed, t)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -42,9 +56,11 @@ from .qmath import (
     sample_outcome,
     tensor,
 )
-from .seeding import derive_rng
+from .seeding import derive_rng, stream_block
 
 _BLOCK = 4096
+# draws per trial block of an ensemble (128 KiB), or 64 trials if that is more
+_DRAWS = 1 << 14
 
 
 def weak_interaction(theta: float) -> np.ndarray:
@@ -128,6 +144,18 @@ class MeasureResult:
     residual_bound: float
 
 
+@lru_cache(maxsize=4)
+def _thresholds(a2: float, b2: float, theta: float, start: int, m: int):
+    """Read-only p0_k and p1_k for rounds k = start .. start + m - 1."""
+    half = theta / 2
+    tail = b2 * (np.cos(half) ** 2) ** np.arange(start, start + m)
+    # |b_k|^2 after k zero rounds; a = 0 stays |1> (and tail may underflow to 0)
+    p1 = (tail / (a2 + tail) if a2 else np.ones(m)) * np.sin(half) ** 2
+    p0 = 1.0 - p1
+    p0.flags.writeable = p1.flags.writeable = False
+    return p0, p1
+
+
 def run_measurement(
     register: np.ndarray, cfg: MeasureConfig, rng: np.random.Generator
 ) -> MeasureResult:
@@ -141,14 +169,11 @@ def run_measurement(
     psi = as_state(register)
     if psi.size != 2:
         raise ValueError("register must be a single qubit")
-    n, half = cfg.n_steps, cfg.theta / 2
+    n = cfg.n_steps
     a2, b2 = abs(psi) ** 2
     for start in range(0, n, _BLOCK):
         m = min(_BLOCK, n - start)
-        tail = b2 * (np.cos(half) ** 2) ** np.arange(start, start + m)
-        # |b_k|^2 after k zero rounds; a = 0 stays |1> (and tail may underflow to 0)
-        p1 = (tail / (a2 + tail) if a2 else np.ones(m)) * np.sin(half) ** 2
-        p0 = 1.0 - p1
+        p0, p1 = _thresholds(float(a2), float(b2), cfg.theta, start, m)
         clicks = np.flatnonzero(rng.random(m) >= p0)
         k = int(clicks[0]) if clicks.size else m
         if k and not start:  # p0_k grows with k: round 1 is the lightest 0 taken
@@ -156,7 +181,7 @@ def run_measurement(
         if k < m:
             sample_outcome(p0[k], p1[k], forced=1)
             return MeasureResult(1, start + k + 1, basis_state(1), 0.0)
-    residual = np.cos(half) ** n
+    residual = np.cos(cfg.theta / 2) ** n
     post = np.array([psi[0], psi[1] * residual])
     return MeasureResult(0, n, post / np.linalg.norm(post), float(residual))
 
@@ -164,10 +189,45 @@ def run_measurement(
 def measurement_ensemble(
     register: np.ndarray, cfg: MeasureConfig, seed: int, trials: int
 ) -> list[MeasureResult]:
-    """Independent chains, trial t on the stream derive_rng(seed, t)."""
+    """Independent chains, trial t on the stream derive_rng(seed, t).
+
+    Trials run in blocks of pre-drawn streams, one :func:`run_measurement`
+    call per trial (module docstring).
+    """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    return [run_measurement(register, cfg, derive_rng(seed, t)) for t in range(trials)]
+    m = min(cfg.n_steps, _BLOCK)
+    per_block = max(64, _DRAWS // m)
+    results = []
+    for first in range(0, trials, per_block):
+        rows = stream_block(seed, first, min(per_block, trials - first), m)
+        results += [
+            run_measurement(register, cfg, _Lane(seed, first + i, row))
+            for i, row in enumerate(rows)
+        ]
+    return results
+
+
+class _Lane:
+    """Draw source of trial ``index``: its pre-drawn ``row``, then its stream.
+
+    A first ``random(row.size)`` returns the row; any other call draws from
+    ``derive_rng(seed, index)`` advanced past the draws already served.
+    """
+
+    __slots__ = ("seed", "index", "row", "used", "rng")
+
+    def __init__(self, seed: int, index: int, row: np.ndarray):
+        self.seed, self.index, self.row, self.used, self.rng = seed, index, row, 0, None
+
+    def random(self, size: int) -> np.ndarray:
+        if self.rng is None:
+            if not self.used and size == self.row.size:
+                self.used = size
+                return self.row
+            self.rng = derive_rng(self.seed, self.index)
+            self.rng.bit_generator.advance(self.used)
+        return self.rng.random(size)
 
 
 def interaction_cost(steps: int) -> int:

@@ -15,6 +15,7 @@ Conventions used across the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -214,6 +215,9 @@ def state_to_bloch(state: np.ndarray) -> BlochPoint:
 
 
 def bloch_to_state(theta: float, phi: float) -> np.ndarray:
+    """cos(theta/2)|0> + e^(i phi) sin(theta/2)|1>; both angles must be finite."""
+    if not (math.isfinite(theta) and math.isfinite(phi)):
+        raise ValueError(f"Bloch angles (theta, phi) must be finite, got ({theta}, {phi})")
     return np.array(
         [np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)], dtype=complex
     )

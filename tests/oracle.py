@@ -1,8 +1,9 @@
 """Reference code the tests check the library against, kept out of ``src/``.
 
 A dense statevector toolkit (``apply``, ``measure_qubit``, ``ry``), the weak
-chain's per-round operators, and the determinant geometry of the plane
-through Bloch points with the closed form of its coplanarity defect.
+chain's per-round operators, the Weyl coordinates of a two-qubit unitary,
+and the determinant geometry of the plane through Bloch points with the
+closed form of its coplanarity defect.
 """
 
 from __future__ import annotations
@@ -97,6 +98,31 @@ def step_operators(theta: float) -> tuple[np.ndarray, np.ndarray]:
     m0 = np.diag([1.0, np.cos(half)]).astype(complex)
     m1 = np.diag([0.0, -1j * np.sin(half)])
     return m0, m1
+
+
+# Magic (phased Bell) basis as columns: local SU(2) x SU(2) becomes real orthogonal
+_MAGIC = np.array(
+    [[1, 0, 0, 1j], [0, 1j, 1, 0], [0, 1j, -1, 0], [1, 0, 0, -1j]], dtype=complex
+) / np.sqrt(2)
+
+
+def weyl_coordinates(u: np.ndarray) -> tuple[float, float, float]:
+    """(ax, ay, az) with u locally equivalent to exp(-i (ax XX + ay YY + az ZZ)).
+
+    Zhang, Vala, Sastry and Whaley, PRA 67, 042313 (2003): in the magic
+    basis u = O1 D O2 with O1, O2 real orthogonal and D = diag(e^(-i l_k)),
+    l = (ax - ay + az, -ax + ay + az, ax + ay - az, -ax - ay - az), so
+    u_B^T u_B has the eigenvalues e^(-2 i l_k).  They fix each l_k modulo pi
+    once det u = 1, and shifting one l_k by pi moves two coordinates by pi/2;
+    any eigenvalue order permutes the coordinates with sign flips.  So the
+    result is one representative of the local class: ``normalize_params``
+    takes it to the canonical point.
+    """
+    u = np.asarray(u, dtype=complex)
+    u = u / np.linalg.det(u) ** 0.25
+    ub = _MAGIC.conj().T @ u @ _MAGIC
+    lam = -np.angle(np.linalg.eigvals(ub.T @ ub)) / 2
+    return (lam[0] + lam[2]) / 2, (lam[1] + lam[2]) / 2, (lam[0] + lam[1]) / 2
 
 
 class CollinearPoints(EggError):

@@ -8,6 +8,7 @@ import json
 import os
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -110,6 +111,51 @@ def test_echo_commands_write_nothing_without_out_dir(capsys, tmp_path, monkeypat
         code, out, _ = run(capsys, *argv)
         assert code == 0, argv
         assert json.loads(out), argv
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("out_dir", [".", "./"])
+@pytest.mark.parametrize("argv", [("classify", "0.3", "0.1", "0"), ("kraus",)])
+def test_echo_commands_write_under_either_spelling_of_the_cwd(
+    capsys, tmp_path, monkeypatch, argv, out_dir
+):
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, *argv, "--out-dir", out_dir)
+    assert code == 0
+    name = argv[0]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [f"{name}.json", f"{name}_manifest.json"]
+    assert json.loads((tmp_path / f"{name}.json").read_text()) == json.loads(out)
+    manifest = json.loads((tmp_path / f"{name}_manifest.json").read_text())
+    assert manifest["parameters"]["out_dir"] == "."
+
+
+def test_default_out_dir_is_recorded_as_the_cwd(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, _, _ = run(capsys, "egg-scan", "--samples", "3")
+    assert code == 0
+    manifest = json.loads((tmp_path / "egg-scan_manifest.json").read_text())
+    assert manifest["parameters"]["out_dir"] == "."
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("measure", "--state", "0", "inf", "--trials", "2"),
+        ("measure", "--state", "inf", "0", "--trials", "2"),
+        ("measure", "--state", "nan", "0", "--trials", "2"),
+        ("kraus", "--ancilla", "inf", "0"),
+        ("kraus", "--ancilla", "0", "nan"),
+    ],
+)
+def test_non_finite_bloch_angles_are_argument_errors(capsys, tmp_path, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *argv, "--out-dir", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)  # exactly one JSON object, no warning text around it
+    assert error["error"] == "ArgumentError"
+    assert error["message"].startswith("Bloch angles (theta, phi) must be finite")
     assert list(tmp_path.iterdir()) == []
 
 

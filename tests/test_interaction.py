@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -26,6 +26,8 @@ from adqcsim.qmath import (
     rz,
     tensor,
 )
+
+from oracle import weyl_coordinates
 
 
 def test_delta_identity_and_diagonal_form():
@@ -248,3 +250,38 @@ def test_canonical_params_container():
     # canonical parameters at or below the caller's tol do not count
     assert classify(1e-7, 0, 0, tol=1e-6).kind is InteractionKind.LOCAL
     assert classify(0.3, 1e-7, 0, tol=1e-6).kind is InteractionKind.ONE_PARAMETER
+
+
+def _haar_su2(rng: np.random.Generator) -> np.ndarray:
+    k = haar_unitary(2, rng)
+    return k / np.sqrt(np.linalg.det(k))
+
+
+# exact special points (local, CZ, CZ + SWAP, SWAP and their images) and generic ones
+_COORD = st.one_of(
+    st.sampled_from([0.0, np.pi / 8, np.pi / 4, -np.pi / 4, np.pi / 2, 3 * np.pi / 4]),
+    st.floats(-4.0, 4.0),
+)
+
+
+@settings(max_examples=150)
+@given(ax=_COORD, ay=_COORD, az=_COORD, seed=st.integers(0, 2**32 - 1))
+def test_locally_equivalent_interactions_classify_the_same(ax, ay, az, seed):
+    # Zhang, Vala, Sastry and Whaley, PRA 67, 042313 (2003): (k1 x k2) delta (k3 x k4)
+    # is locally equivalent to delta, and its Weyl coordinates say so
+    want, _ = normalize_params(ax, ay, az)
+    # a coordinate within rounding of a threshold could land on either side
+    for v in want:
+        for edge in (NONZERO_TOL, np.pi / 4 - NONZERO_TOL):
+            assume(abs(v - edge) > 1e-10)
+    rng = np.random.default_rng(seed)
+    u = (
+        np.kron(_haar_su2(rng), _haar_su2(rng))
+        @ delta_gate(ax, ay, az)
+        @ np.kron(_haar_su2(rng), _haar_su2(rng))
+    )
+    coords = weyl_coordinates(u)
+    got, _ = normalize_params(*coords)
+    np.testing.assert_allclose(tuple(got), tuple(want), rtol=0, atol=1e-9)
+    a, b = classify(*coords), classify(ax, ay, az)
+    assert (a.kind, a.is_cz_class, a.is_cz_swap_class) == (b.kind, b.is_cz_class, b.is_cz_swap_class)
