@@ -37,7 +37,6 @@ import numpy as np
 from . import __version__
 from .egg import (
     EggError,
-    ScanRow,
     _rus_setup,
     find_balanced_beta,
     phi_scan,
@@ -89,11 +88,12 @@ KRAUS_IGNORED = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reads a token such as -1e-05 as a negative number, not as a flag."""
+    """Reads a token such as -1e-05 or -inf as a negative number, not as a flag."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\d*\.?\d+([eE][-+]?\d+)?$")
+        number = r"\d*\.?\d+(e[-+]?\d+)?|inf(inity)?|nan"  # in any case, as float() reads
+        self._negative_number_matcher = re.compile(rf"(?i)^-({number})$")
 
 
 class NoHits(ValueError):
@@ -101,6 +101,7 @@ class NoHits(ValueError):
 
 
 def _fmt(x) -> str:
+    """One CSV cell: the rule :func:`_csv_text` writes every row by."""
     if isinstance(x, (bool, np.bool_)):
         return "1" if x else "0"
     if isinstance(x, (int, np.integer)):
@@ -158,12 +159,26 @@ def _complex_matrix(m: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m)]
 
 
-def _tables(args: argparse.Namespace, header: list[str], rows, summary: dict) -> dict:
+def _csv_text(header, rows) -> str:
+    """``header``, then ``",".join(map(_fmt, row))`` for each tuple in ``rows``.
+
+    One %-format writes every row, with each column's kind taken from the
+    first row: ``%d`` for bools and ints, ``%.17g`` for the rest.
+    """
+    rows = iter(rows)
+    first = next(rows, None)
+    if first is None:
+        return ",".join(header) + "\n"
+    ints = (int, np.integer, np.bool_)
+    fmt = ",".join("%d" if isinstance(v, ints) else "%.17g" for v in first)
+    return "\n".join([",".join(header), fmt % first, *map(fmt.__mod__, rows)]) + "\n"
+
+
+def _tables(args: argparse.Namespace, header, rows, summary: dict) -> dict:
     """The --format-selected artifacts: a CSV of ``rows`` and a JSON summary."""
     files = {}
     if args.format in ("csv", "both"):
-        lines = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
-        files["csv"] = "\n".join(lines) + "\n"
+        files["csv"] = _csv_text(header, rows)
     if args.format in ("json", "both"):
         files["json"] = _json_text(summary)
     return files
@@ -310,7 +325,7 @@ def _cmd_walk(args: argparse.Namespace) -> tuple[dict, str]:
     files = _tables(
         args,
         ["trial", "steps", "hit", "final_distance"],
-        ([t, r.steps, r.hit, r.final_distance] for t, r in enumerate(results)),
+        ((t, r.steps, r.hit, r.final_distance) for t, r in enumerate(results)),
         summary,
     )
     if args.svg:
@@ -329,8 +344,7 @@ def _cmd_egg_scan(args: argparse.Namespace) -> tuple[dict, str]:
         "delta_phi_at_beta_star": np.pi,
         "success_prob_at_beta_star": success_probability(args.alpha, beta_star),
     }
-    header = [f.name for f in fields(ScanRow)]
-    files = _tables(args, header, (vars(r).values() for r in rows), summary)
+    files = _tables(args, rows.dtype.names, rows.tolist(), summary)
     return files, (
         f"egg-scan: beta* = {beta_star:.6f}, success prob "
         f"{summary['success_prob_at_beta_star']:.6f}\n"
@@ -381,7 +395,7 @@ def _cmd_measure(args: argparse.Namespace) -> tuple[dict, str]:
     files = _tables(
         args,
         ["trial", "label", "steps", "residual_bound"],
-        ([t, r.label, r.steps_used, r.residual_bound] for t, r in enumerate(results)),
+        ((t, r.label, r.steps_used, r.residual_bound) for t, r in enumerate(results)),
         summary,
     )
     freq = summary["label_frequencies"]

@@ -320,26 +320,43 @@ def analytic_overlaps(alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray
     return c_plus, c_minus
 
 
+SCAN_COLUMNS = (
+    "beta", "phi_plus", "phi_minus", "delta_phi", "p_plus", "p_minus", "success_prob"
+)
+
+
+def _scan_columns(alpha: float, beta: np.ndarray) -> list[np.ndarray]:
+    """The :data:`SCAN_COLUMNS` after beta, over the array ``beta`` (see :func:`phi_scan`).
+
+    With A = alpha + beta, B = alpha - beta and phi00+/- = arg c+/- of
+    branch (0, 0) (:func:`analytic_overlaps`): Phi+/- = 4 phi00+/- + pi
+    wrapped, delta_phi = 4 (phi00+ - phi00-), p+ = (cos^2 A + cos^2 B) / 2.
+    """
+    a, b = alpha + beta, alpha - beta
+    cos_a, cos_b = np.cos(a), np.cos(b)
+    phi00_plus = np.angle(cos_a - 1j * cos_b)
+    phi00_minus = np.angle(-1j * np.sin(a) - np.sin(b))
+    wrapped = (4 * np.stack([phi00_plus, phi00_minus]) + np.pi) % (2 * np.pi)
+    wrapped[wrapped > np.pi] -= 2 * np.pi  # wrap_angle, elementwise
+    # squares by C pow(x, 2) of Python floats, as numpy scalars take them
+    p_plus = np.array([(x**2 + y**2) / 2 for x, y in zip(cos_a.tolist(), cos_b.tolist())])
+    delta = 4.0 * (phi00_plus - phi00_minus)
+    return [*wrapped, delta, p_plus, 1.0 - p_plus, 2.0 * p_plus * (1.0 - p_plus)]
+
+
+def _at(alpha: float, beta: float) -> list[float]:
+    """:func:`_scan_columns` at one beta, as Python floats."""
+    return [float(c[0]) for c in _scan_columns(alpha, np.array([beta], dtype=float))]
+
+
 def outcome_probabilities(alpha: float, beta: float) -> tuple[float, float]:
     """p+ = (cos^2 A + cos^2 B)/2 and its complement."""
-    a, b = alpha + beta, alpha - beta
-    p_plus = (np.cos(a) ** 2 + np.cos(b) ** 2) / 2
-    return float(p_plus), float(1.0 - p_plus)
+    return tuple(_at(alpha, beta)[3:5])
 
 
 def _outcome_phases(alpha: float, beta: float) -> tuple[float, float, float]:
-    """Outcome phases Phi+/- = 4 phi00+/- + pi, wrapped, and :func:`delta_phi_raw`.
-
-    phi00+/- = arg c+/- of branch (0, 0); see :func:`analytic_overlaps`.
-    """
-    a, b = alpha + beta, alpha - beta
-    phi00_plus = float(np.angle(np.cos(a) - 1j * np.cos(b)))
-    phi00_minus = float(np.angle(-1j * np.sin(a) - np.sin(b)))
-    return (
-        wrap_angle(4 * phi00_plus + np.pi),
-        wrap_angle(4 * phi00_minus + np.pi),
-        4.0 * (phi00_plus - phi00_minus),
-    )
+    """Outcome phases Phi+/- = 4 phi00+/- + pi, wrapped, and :func:`delta_phi_raw`."""
+    return tuple(_at(alpha, beta)[:3])
 
 
 def delta_phi_raw(alpha: float, beta: float) -> float:
@@ -354,31 +371,25 @@ def delta_phi_raw(alpha: float, beta: float) -> float:
 
 def success_probability(alpha: float, beta: float) -> float:
     """Per-attempt success probability 2 p+ p- of the two-round protocol."""
-    p_plus, p_minus = outcome_probabilities(alpha, beta)
-    return 2.0 * p_plus * p_minus
-
-
-@dataclass(frozen=True)
-class ScanRow:
-    beta: float
-    phi_plus: float
-    phi_minus: float
-    delta_phi: float
-    p_plus: float
-    p_minus: float
-    success_prob: float
+    return _at(alpha, beta)[5]
 
 
 def phi_scan(
     alpha: float,
     beta_range: tuple[float, float] | None = None,
     samples: int = 101,
-) -> list[ScanRow]:
-    """Tabulate outcome phases and probabilities over a beta grid.
+) -> np.recarray:
+    """Tabulate outcome phases and probabilities over a beta grid, by columns.
 
-    ``phi_plus``/``phi_minus`` are the wrapped entangling phases of the two
-    outcomes; ``delta_phi`` is the continuous (unwrapped) difference so the
-    pi crossing is visible.
+    One record per beta with the fields :data:`SCAN_COLUMNS`: a row reads
+    ``rows[k].beta``, a column ``rows.beta``.  ``phi_plus``/``phi_minus``
+    are the wrapped entangling phases of the two outcomes; ``delta_phi`` is
+    the continuous (unwrapped) difference so the pi crossing is visible.
+    :func:`_scan_columns` computes every column over the whole grid at once;
+    the per-point functions are its one-beta case, so they agree bit for
+    bit.  The trap is squaring: an array's ``** 2`` is ``np.square`` (x * x),
+    a numpy scalar's is C ``pow(x, 2)``, and they (and ``np.power`` with an
+    array exponent) differ in the last bit for some x; p+ squares Python floats.
     """
     lo, hi = beta_range if beta_range is not None else (0.0, alpha)
     _check_alpha(alpha)  # before samples, so a bad alpha is the error reported
@@ -386,15 +397,8 @@ def phi_scan(
         raise ValueError("samples must be >= 1")
     if not 0.0 <= lo <= hi <= alpha + 1e-15:
         raise ValueError("beta range must satisfy 0 <= lo <= hi <= alpha")
-    return [
-        ScanRow(
-            float(beta),
-            *_outcome_phases(alpha, beta),
-            *outcome_probabilities(alpha, beta),
-            success_probability(alpha, beta),
-        )
-        for beta in np.linspace(lo, hi, samples)
-    ]
+    beta = np.linspace(lo, hi, samples)
+    return np.rec.fromarrays([beta, *_scan_columns(alpha, beta)], names=SCAN_COLUMNS)
 
 
 def find_balanced_beta(alpha: float, beta_max: float | None = None) -> float:
@@ -426,7 +430,7 @@ def find_balanced_beta(alpha: float, beta_max: float | None = None) -> float:
         return delta_phi_raw(alpha, beta) - np.pi
 
     grid = np.linspace(0.0, hi, SCAN_SAMPLES)
-    vals = [f(b) for b in grid]
+    vals = (_scan_columns(alpha, grid)[2] - np.pi).tolist()
     bracket = None
     for k in range(len(grid) - 1):
         if vals[k] == 0.0:

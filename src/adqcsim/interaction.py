@@ -143,13 +143,12 @@ def classify(ax: float, ay: float, az: float, tol: float = NONZERO_TOL) -> Inter
     if not 0.0 < tol <= np.pi / 8:
         raise ValueError("tol must lie in (0, pi/8]")
     canon, _ = normalize_params(ax, ay, az)
-    a = canon.as_array()
-    count = int(np.sum(a > tol))
+    x, y, z = canon  # Python floats: comparisons only, no array
     quarter = np.pi / 4
-    is_cz = bool(np.max(np.abs(a - [quarter, 0, 0])) < tol)
-    is_cz_swap = bool(np.max(np.abs(a - [quarter, quarter, 0])) < tol)
+    is_cz = bool(max(abs(x - quarter), abs(y), abs(z)) < tol)
+    is_cz_swap = bool(max(abs(x - quarter), abs(y - quarter), abs(z)) < tol)
     return InteractionClass(
-        kind=_KIND_BY_COUNT[count],
+        kind=_KIND_BY_COUNT[sum(v > tol for v in canon)],
         params=canon,
         is_cz_class=is_cz,
         is_cz_swap_class=is_cz_swap,

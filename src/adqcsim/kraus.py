@@ -153,8 +153,10 @@ def program_deterministic(bits: str) -> np.ndarray:
     """
     if not bits or any(b not in "01" for b in bits):
         raise ValueError("bits must be a non-empty string over {0, 1}")
-    gates = deterministic_gate_set()
     out = np.eye(2, dtype=complex)
     for b in bits:
-        out = (gates.u1 if b == "1" else gates.u0) @ out
+        out = (_GATES.u1 if b == "1" else _GATES.u0) @ out
     return out
+
+
+_GATES = deterministic_gate_set()  # built once; program_deterministic only reads it

@@ -2,8 +2,9 @@
 
 A dense statevector toolkit (``apply``, ``measure_qubit``, ``ry``), the weak
 chain's per-round operators, the Weyl coordinates of a two-qubit unitary,
-and the determinant geometry of the plane through Bloch points with the
-closed form of its coplanarity defect.
+the determinant geometry of the plane through Bloch points with the
+closed form of its coplanarity defect, and the egg scan's formulas point
+by point on numpy scalars.
 """
 
 from __future__ import annotations
@@ -123,6 +124,27 @@ def weyl_coordinates(u: np.ndarray) -> tuple[float, float, float]:
     ub = _MAGIC.conj().T @ u @ _MAGIC
     lam = -np.angle(np.linalg.eigvals(ub.T @ ub)) / 2
     return (lam[0] + lam[2]) / 2, (lam[1] + lam[2]) / 2, (lam[0] + lam[1]) / 2
+
+
+def scan_point(alpha: float, beta: np.float64) -> tuple[float, ...]:
+    """One egg-scan row after beta, as the per-point code computed it.
+
+    Every operation is on numpy float64 scalars and Python floats, so the
+    squares are C ``pow(x, 2)`` and the wrap is Python's float ``%``.
+    """
+    a, b = alpha + np.float64(beta), alpha - np.float64(beta)
+    phi00_plus = float(np.angle(np.cos(a) - 1j * np.cos(b)))
+    phi00_minus = float(np.angle(-1j * np.sin(a) - np.sin(b)))
+    p_plus = (np.cos(a) ** 2 + np.cos(b) ** 2) / 2
+    p_plus, p_minus = float(p_plus), float(1.0 - p_plus)
+    return (
+        wrap_angle(4 * phi00_plus + np.pi),
+        wrap_angle(4 * phi00_minus + np.pi),
+        4.0 * (phi00_plus - phi00_minus),
+        p_plus,
+        p_minus,
+        2.0 * p_plus * p_minus,
+    )
 
 
 class CollinearPoints(EggError):

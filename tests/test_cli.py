@@ -326,6 +326,30 @@ def test_nan_messages_name_the_argument(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("kraus", "--ancilla", "0", "-inf"), "Bloch angles (theta, phi) must be finite"),
+        (("kraus", "--ancilla", "-Infinity", "0"), "Bloch angles (theta, phi) must be finite"),
+        (("measure", "--state", "-NaN", "0", "--trials", "2"), "Bloch angles (theta, phi)"),
+        (("classify", "0", "-INF", "0"), "interaction parameters must be finite"),
+        (("classify", "0", "0", "0", "--tol", "-nan"), "tol must lie in (0, pi/8]"),
+        (("egg-scan", "--alpha", "-inf"), "alpha must lie in (0, pi/4]"),
+        (("walk", "--epsilon", "-iNfInItY", "--trials", "2"), "epsilon"),
+    ],
+)
+def test_negative_non_finite_values_reach_the_validators(capsys, tmp_path, argv, message):
+    # -inf, -infinity and -nan, in any case, are values, not flags: the
+    # validators reject them with a JSON error instead of argparse's usage text
+    code, out, err = run(capsys, *argv, "--out-dir", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)
+    assert error["error"] == "ArgumentError"
+    assert message in error["message"]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
     "fmt, suffixes", [("csv", ["csv"]), ("json", ["json"]), ("both", ["csv", "json"])]
 )
 @pytest.mark.parametrize(
@@ -537,6 +561,32 @@ def test_json_text_is_the_stdlib_indented_dump(tree):
     assert cli._json_text(tree) == _stdlib_json(tree)
 
 
+_INT_CELLS = st.one_of(
+    st.booleans(),
+    st.booleans().map(np.bool_),
+    st.integers(),
+    st.integers(2**53 - 3, 2**53 + 3) | st.integers(-(2**53) - 3, -(2**53) + 3),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+)
+_FLOAT_CELLS = st.one_of(
+    st.floats(),
+    st.floats().map(np.float64),
+    st.sampled_from([-0.0, 5e-324, 1e16, 2.0**53 + 2, -(2.0**53)]),
+)
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_csv_text_is_the_cell_rule(data):
+    # each column keeps one kind, int-like or float-like, but not one type
+    kind = st.sampled_from([_INT_CELLS, _FLOAT_CELLS])
+    kinds = data.draw(st.lists(kind, min_size=1, max_size=7))
+    rows = data.draw(st.lists(st.tuples(*kinds), max_size=12))
+    header = [f"c{j}" for j in range(len(kinds))]
+    lines = [",".join(header)] + [",".join(map(cli._fmt, row)) for row in rows]
+    assert cli._csv_text(header, rows) == "\n".join(lines) + "\n"
+
+
 def test_json_text_encodes_a_shared_record_at_each_depth():
     rec = AttemptRecord(2, 1, 0, True, -np.pi)
     other = AttemptRecord(1, 1, 1, False, 0.0)
@@ -569,6 +619,41 @@ def test_egg_scan_outputs(capsys, tmp_path):
     assert 0.178 < summary["beta_star"] < 0.188
     assert abs(summary["success_prob_at_beta_star"] - 0.1277) < 0.005
     assert "beta*" in out
+
+
+# sha256 of egg-scan.csv and egg-scan.json, taken from the per-point scan
+# before the scan went by columns.  Unlike the RNG digests these pin float
+# columns, so they hold numpy's ufunc loops and the platform's libm to the
+# last bit, as bench/reference_hashes.json does.
+EGG_SCAN_DIGESTS = {
+    ("--alpha", repr(np.pi / 16)): (
+        "aa353c4120c1b06f6b9abc041673ff54b955e8e36e02ac4089f5fa9723864d4f",
+        "74631045620d65264fe3e9a73730ce7a439d719e92b7bb70dcbd40855a687664",
+    ),
+    ("--alpha", "0.3"): (
+        "9400048804c2bc9d5a913734c6f502a5e111618c97a6281e0007dedcb9fbef32",
+        "4949d5e0f5f50fca1c86a6ca8fde3479b775ffc0c5ca0317632af0d163000cd9",
+    ),
+    ("--alpha", repr(np.pi / 4)): (
+        "151a8478b48924cb27ffd7f8ae8cc96ad7cab692f5babc4f1a37ebc58e695ef3",
+        "ad102fccd1fed055973fa69aaefc9d3d7480179b6f51c9de2a7cee89faac1924",
+    ),
+    ("--alpha", "0.3", "--beta-min", "0.1", "--beta-max", "0.3", "--samples", "777"): (
+        "3cfc296eaaec19236b3bbe1dafac04ba9c13bfb61c8f76edce4645d1a742fd08",
+        "4949d5e0f5f50fca1c86a6ca8fde3479b775ffc0c5ca0317632af0d163000cd9",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(EGG_SCAN_DIGESTS))
+def test_egg_scan_digests(capsys, tmp_path, argv):
+    code, _, _ = run(capsys, "egg-scan", *argv, "--out-dir", str(tmp_path))
+    assert code == 0
+    got = tuple(
+        hashlib.sha256((tmp_path / f"egg-scan.{suffix}").read_bytes()).hexdigest()
+        for suffix in ("csv", "json")
+    )
+    assert got == EGG_SCAN_DIGESTS[argv]
 
 
 def test_egg_scan_no_root_is_numeric_failure(capsys, tmp_path):

@@ -58,6 +58,7 @@ from oracle import (
     coplanarity_distance,
     local_reduction,
     plane_coefficients,
+    scan_point,
     spherical_point,
     vertical_plane_check,
 )
@@ -428,6 +429,48 @@ def test_phi_scan_endpoints():
     for alpha in (float("nan"), 1.0):
         with pytest.raises(ValueError, match="alpha must lie"):
             phi_scan(alpha)
+
+
+_SAMPLES = st.one_of(
+    st.just(1), st.just(2), st.integers(1, 150).map(lambda k: 2 * k + 1),
+    st.integers(2, 150).map(lambda k: 2 * k),
+)
+
+
+@settings(max_examples=60)
+@given(
+    st.floats(0.0, np.pi / 4, exclude_min=True),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1.0),
+    _SAMPLES,
+)
+def test_phi_scan_rows_are_the_per_point_functions(alpha, u, v, samples):
+    # every column of the vectorised scan equals the scalar API at its beta,
+    # and both equal the per-point formulas on numpy scalars, bit for bit:
+    # the ufunc loops must not round differently over an array
+    lo, hi = sorted((u * alpha, v * alpha))
+    rows = phi_scan(alpha, (lo, hi), samples)
+    assert len(rows) == samples and rows.dtype.names == egg.SCAN_COLUMNS
+    for row in rows.tolist():
+        beta = row[0]
+        api = (
+            *egg._outcome_phases(alpha, beta),
+            *outcome_probabilities(alpha, beta),
+            success_probability(alpha, beta),
+        )
+        hexes = [list(map(float.hex, r)) for r in (row[1:], api, scan_point(alpha, beta))]
+        assert hexes[0] == hexes[1] == hexes[2]
+    assert rows[0].beta == rows.beta[0] == lo
+
+
+def test_phi_scan_squares_as_numpy_scalars_do():
+    # an array's ** 2 (x * x) and a scalar's C pow(x, 2) differ in the last
+    # bit for about 1 double in 1000; a dense grid has such cosines
+    alpha = 0.3
+    rows = phi_scan(alpha, None, 20001)
+    got = np.array(rows.tolist())[:, 1:]
+    want = np.array([scan_point(alpha, beta) for beta in rows.beta])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_find_balanced_beta_reference_point():

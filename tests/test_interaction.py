@@ -77,6 +77,7 @@ def test_normalize_examples():
 
 
 ANGLE = st.floats(-6, 6)
+_CLASS_POINTS = [(0, 0, 0), (np.pi / 4, 0, 0), (np.pi / 4, np.pi / 4, 0)]
 
 
 @settings(max_examples=300)
@@ -285,3 +286,21 @@ def test_locally_equivalent_interactions_classify_the_same(ax, ay, az, seed):
     np.testing.assert_allclose(tuple(got), tuple(want), rtol=0, atol=1e-9)
     a, b = classify(*coords), classify(ax, ay, az)
     assert (a.kind, a.is_cz_class, a.is_cz_swap_class) == (b.kind, b.is_cz_class, b.is_cz_swap_class)
+
+
+@settings(max_examples=300)
+@given(
+    st.sampled_from(_CLASS_POINTS),
+    st.lists(st.floats(-2, 2), min_size=3, max_size=3),
+    st.sampled_from([NONZERO_TOL, 1e-6, 1e-3, np.pi / 8]),
+)
+def test_classify_verdicts_are_the_array_comparisons(point, offsets, tol):
+    # classify compares Python floats; its verdicts are those of the array
+    # expressions, at points within a few tol of the special classes
+    raw = [p + d * tol for p, d in zip(point, offsets)]
+    cls = classify(*raw, tol=tol)
+    a = normalize_params(*raw)[0].as_array()
+    quarter = np.pi / 4
+    assert cls.kind == list(InteractionKind)[int(np.sum(a > tol))]
+    assert cls.is_cz_class is bool(np.max(np.abs(a - [quarter, 0, 0])) < tol)
+    assert cls.is_cz_swap_class is bool(np.max(np.abs(a - [quarter, quarter, 0])) < tol)

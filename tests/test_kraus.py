@@ -221,6 +221,17 @@ def test_program_deterministic_basic():
         program_deterministic("012")
 
 
+@settings(max_examples=50)
+@given(st.text("01", min_size=1, max_size=40))
+def test_program_deterministic_is_the_left_product_bit_for_bit(bits):
+    # the gate pair is built once, and the product is taken in the same order
+    gates = deterministic_gate_set()
+    out = np.eye(2, dtype=complex)
+    for b in bits:
+        out = (gates.u1 if b == "1" else gates.u0) @ out
+    assert np.array_equal(program_deterministic(bits), out)
+
+
 def test_program_deterministic_matches_ancilla_simulation():
     # run the physical protocol: per bit, couple a fresh ancilla prepared in
     # |b>, then discard it by measuring in the x basis (either outcome).
