@@ -512,15 +512,15 @@ def run_rus(
     log: list[AttemptRecord] = []
     for start in range(0, max_attempts, RUS_BLOCK):
         ones = (rng.random(2 * min(RUS_BLOCK, max_attempts - start)) >= p0).view(np.int8)
-        won = np.flatnonzero(ones[0::2] != ones[1::2])
-        k = int(won[0]) + 1 if won.size else ones.size // 2
+        codes = (2 * ones[0::2] + ones[1::2]).tolist()  # attempt i's pair c = 2 m1 + m2
+        won = [codes.index(c) for c in (1, 2) if c in codes]
+        k = min(won) + 1 if won else len(codes)
         for m in set(ones[: 2 * k].tolist()) if min(p0, p1) < BRANCH_TOL else ():
             sample_outcome(p0, p1, forced=m)  # raises for an impossible branch
         while len(records) < 4 * (start + k):
             j, c = divmod(len(records), 4)
             records.append(AttemptRecord(j + 1, c // 2, c % 2, c in (1, 2), phases[c]))
-        index = 4 * np.arange(start, start + k) + ones[: 2 * k].reshape(k, 2) @ (2, 1)
-        log.extend(map(records.__getitem__, index.tolist()))
-        if won.size:
+        log += [records[4 * j + c] for j, c in enumerate(codes[:k], start)]
+        if won:
             return RusResult(start + k, True, tuple(log))
     return RusResult(max_attempts, False, tuple(log))

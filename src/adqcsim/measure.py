@@ -28,16 +28,8 @@ memory is bounded by the block, not by n.  The thresholds of a round block
 are computed once per register, theta and block start and kept, read-only,
 in a small cache shared by every chain.
 
-:func:`measurement_ensemble` runs trial t on the stream ``derive_rng(seed,
-t)`` without deriving it.  It works through the trials in blocks of 2^14
-draws (128 KiB) or 64 trials, whichever is more, so at most 2^18 draws
-(2 MiB): :func:`~adqcsim.seeding.stream_block` draws the first
-min(n, 4096) draws of every trial in the block at once, bit for bit, and each
-trial's :func:`run_measurement` reads them through a lane.  A lane's first
-``random(m)`` returns the trial's row; a later call, which only a chain
-longer than 4096 rounds makes, continues the same stream as
-``derive_rng(seed, t)`` advanced past the draws already served.  So every
-chain reads what it would read from ``derive_rng(seed, t)``.
+:func:`measurement_ensemble` runs trial t as one :func:`run_measurement` call
+on the stream ``derive_rng(seed, t)``.
 """
 
 from __future__ import annotations
@@ -56,11 +48,9 @@ from .qmath import (
     sample_outcome,
     tensor,
 )
-from .seeding import derive_rng, stream_block
+from .seeding import derive_rng
 
 _BLOCK = 4096
-# draws per trial block of an ensemble (128 KiB), or 64 trials if that is more
-_DRAWS = 1 << 14
 
 
 def weak_interaction(theta: float) -> np.ndarray:
@@ -189,45 +179,10 @@ def run_measurement(
 def measurement_ensemble(
     register: np.ndarray, cfg: MeasureConfig, seed: int, trials: int
 ) -> list[MeasureResult]:
-    """Independent chains, trial t on the stream derive_rng(seed, t).
-
-    Trials run in blocks of pre-drawn streams, one :func:`run_measurement`
-    call per trial (module docstring).
-    """
+    """Independent chains, trial t on the stream derive_rng(seed, t)."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    m = min(cfg.n_steps, _BLOCK)
-    per_block = max(64, _DRAWS // m)
-    results = []
-    for first in range(0, trials, per_block):
-        rows = stream_block(seed, first, min(per_block, trials - first), m)
-        results += [
-            run_measurement(register, cfg, _Lane(seed, first + i, row))
-            for i, row in enumerate(rows)
-        ]
-    return results
-
-
-class _Lane:
-    """Draw source of trial ``index``: its pre-drawn ``row``, then its stream.
-
-    A first ``random(row.size)`` returns the row; any other call draws from
-    ``derive_rng(seed, index)`` advanced past the draws already served.
-    """
-
-    __slots__ = ("seed", "index", "row", "used", "rng")
-
-    def __init__(self, seed: int, index: int, row: np.ndarray):
-        self.seed, self.index, self.row, self.used, self.rng = seed, index, row, 0, None
-
-    def random(self, size: int) -> np.ndarray:
-        if self.rng is None:
-            if not self.used and size == self.row.size:
-                self.used = size
-                return self.row
-            self.rng = derive_rng(self.seed, self.index)
-            self.rng.bit_generator.advance(self.used)
-        return self.rng.random(size)
+    return [run_measurement(register, cfg, derive_rng(seed, t)) for t in range(trials)]
 
 
 def interaction_cost(steps: int) -> int:

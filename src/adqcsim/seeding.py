@@ -8,17 +8,18 @@ trials run.  Each outcome takes one draw by the rule of
 (:func:`~adqcsim.measure.run_measurement`) and 2 x 32 in a repeat-until-success
 run (:func:`~adqcsim.egg.run_rus`); draws past the halt or success go unused.
 
-:func:`derive_rng` defines every stream.  :func:`stream_block` is its block
-form for the ensembles: the first draws of many consecutive streams at once,
-bit for bit what ``derive_rng(seed, t).random(m)`` returns.  It is a numpy
-port of ``SeedSequence(entropy=seed, spawn_key=(t,))`` -> ``PCG64`` ->
-``Generator.random``, vectorised over t, and the tests hold it to
-:func:`derive_rng` on random seeds and indices.
+Stream (seed, t) is numpy's ``PCG64`` seeded by ``SeedSequence(entropy=seed,
+spawn_key=(t,))``, bit for bit.  :func:`derive_rng` does not build that
+``SeedSequence``: a numpy port of its pool mixing derives the four
+``generate_state(4, uint64)`` words of 256 consecutive streams at once, the
+block is cached, and numpy's own PCG64 seeds itself from the stream's row.
+The tests hold every stream to ``SeedSequence`` on random seeds and indices.
 """
 
 from __future__ import annotations
 
 import operator
+from functools import lru_cache
 
 import numpy as np
 
@@ -29,18 +30,43 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _XSHIFT = 16
 _M32 = 0xFFFFFFFF
-# PCG64: 128-bit LCG with XSL-RR output
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_M128 = (1 << 128) - 1
+# streams per derived block: a multiple of 256 never straddles 2^32 or 2^64
+_SPAN_BITS = 8
 
 
 def derive_rng(seed: int, index: int = 0) -> np.random.Generator:
     """Generator for sub-stream ``index`` of the experiment seeded by ``seed``.
 
     Streams with different indices are statistically independent; the same
-    (seed, index) pair always yields the same stream.
+    (seed, index) pair always yields the same stream, a new object each call.
     """
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+    seed, index = operator.index(seed), operator.index(index)
+    if seed < 0 or index < 0:
+        raise ValueError("seed and index must be >= 0")
+    return _seeded()(_block(seed, index >> _SPAN_BITS)[index & ((1 << _SPAN_BITS) - 1)])
+
+
+@lru_cache(maxsize=None)
+def _seeded():
+    """Maker of a Generator whose PCG64 seeds from four given uint64 words.
+
+    Built on first use, so importing the package does not load numpy.random.
+    """
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Words(ISeedSequence):
+        """A seed sequence whose only state is one stream's derived words."""
+
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or dtype is not np.uint64 and np.dtype(dtype) != np.uint64:
+                raise ValueError("only generate_state(4, uint64) is derived")
+            return self.words
+
+    return lambda words: Generator(PCG64(Words(words)))
 
 
 def _words(n: int) -> list[int]:
@@ -62,22 +88,13 @@ def _mix(x, y):
     return value ^ (value >> _XSHIFT)
 
 
-def _ints(limbs: list) -> np.ndarray:
-    """128-bit values of 4-limb arrays, as an object array of Python ints."""
-    hi = (limbs[3] << 32) | limbs[2]
-    lo = (limbs[1] << 32) | limbs[0]
-    return hi.astype(object) << 64 | lo.astype(object)
+@lru_cache(maxsize=4)
+def _block(seed: int, block: int) -> np.ndarray:
+    """Read-only generate_state(4, uint64) words of 256 streams, one row each.
 
-
-def _pcg_seeds(seed: int, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """PCG64 (state, inc) of each stream once seeded, as object arrays of ints.
-
-    Mirrors SeedSequence(entropy=seed, spawn_key=(t,)).generate_state(4,
-    uint64) for each t in ``index`` (uint64), then PCG64's seeding.
+    Row i mirrors ``SeedSequence(entropy=seed, spawn_key=(t,))`` for stream
+    t = 256 block + i.
     """
-    seed = operator.index(seed)  # a Python int: numpy integer scalars warn on overflow
-    if seed < 0:
-        raise ValueError("seed must be >= 0")
     run = _words(seed)
     run += [0] * (_POOL - len(run))  # padded to the pool size: there is a spawn key
     # the pool mixes the run entropy alone, so it is the same for every t
@@ -95,41 +112,19 @@ def _pcg_seeds(seed: int, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         for dst in range(_POOL):
             pool[dst] = _mix(pool[dst], _hashmix(word, hc))
             hc = (hc * _MULT_A) & _M32
-    # then the spawn key t, one word below 2^32 and two from there on
-    pool = [np.full(index.shape, p, dtype=np.uint64) for p in pool]
-    for w, word in enumerate((index & _M32, index >> 32)):
-        has = index > _M32 if w else None
+    # then the spawn key t: in an aligned block only its lowest word varies
+    key = _words(block << _SPAN_BITS)
+    low = np.arange(key[0], key[0] + (1 << _SPAN_BITS), dtype=np.uint64)
+    pool = [np.full(low.shape, p, dtype=np.uint64) for p in pool]
+    for word in [low, *key[1:]]:
         for dst in range(_POOL):
-            mixed = _mix(pool[dst], _hashmix(word, hc))
-            pool[dst] = mixed if has is None else np.where(has, mixed, pool[dst])
+            pool[dst] = _mix(pool[dst], _hashmix(word, hc))
             hc = (hc * _MULT_A) & _M32
     # generate_state: 8 words cycled from the pool, read as 4 little-endian uint64
     out, hc = [], _INIT_B
     for i in range(2 * _POOL):
         out.append(_hashmix(pool[i % _POOL], hc, _MULT_B))
         hc = (hc * _MULT_B) & _M32
-    # PCG64 takes (w0, w1) as the (high, low) seed and (w2, w3) as the sequence
-    init = _ints([out[2], out[3], out[0], out[1]])
-    inc = (_ints([out[6], out[7], out[4], out[5]]) << 1 | 1) & _M128
-    # pcg's srandom: state 0, step, add init, step
-    return (init * _PCG_MULT + inc * (_PCG_MULT + 1)) & _M128, inc
-
-
-def stream_block(seed: int, first: int, count: int, m: int) -> np.ndarray:
-    """Rows i < count are ``derive_rng(seed, first + i).random(m)``, bit for bit.
-
-    The seeded states are derived for the whole block at once; each row is
-    then drawn by numpy's own PCG64 set to its stream's state.  Needs
-    ``seed >= 0`` and ``first + count <= 2^64``.
-    """
-    if count < 0 or m < 0 or first < 0 or first + count > 1 << 64:
-        raise ValueError("streams must satisfy 0 <= first, 0 <= count, first + count <= 2^64")
-    state, inc = _pcg_seeds(seed, np.arange(count, dtype=np.uint64) + np.uint64(first))
-    out = np.empty((count, m))
-    bits = np.random.PCG64(0)
-    draw = np.random.Generator(bits).random
-    for row, s, c in zip(out, state.tolist(), inc.tolist()):
-        bits.state = {"bit_generator": "PCG64", "state": {"state": s, "inc": c},
-                      "has_uint32": 0, "uinteger": 0}
-        draw(out=row)
-    return out
+    words = np.stack([out[2 * k] | out[2 * k + 1] << 32 for k in range(_POOL)], axis=1)
+    words.flags.writeable = False
+    return words

@@ -3,8 +3,9 @@
 A dense statevector toolkit (``apply``, ``measure_qubit``, ``ry``), the weak
 chain's per-round operators, the Weyl coordinates of a two-qubit unitary,
 the determinant geometry of the plane through Bloch points with the
-closed form of its coplanarity defect, and the egg scan's formulas point
-by point on numpy scalars.
+closed form of its coplanarity defect, the egg scan's formulas point
+by point on numpy scalars, and the RNG contract's streams as numpy builds
+them.
 """
 
 from __future__ import annotations
@@ -15,6 +16,11 @@ import numpy as np
 
 from adqcsim.egg import COLLINEAR_TOL, EggError
 from adqcsim.qmath import STATE_TOL, BlochPoint, as_state, sample_outcome, wrap_angle
+
+
+def seed_sequence_rng(seed: int, index: int) -> np.random.Generator:
+    """Stream ``index`` of ``seed`` as the RNG contract defines it."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
 
 def ry(theta: float) -> np.ndarray:

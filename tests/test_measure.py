@@ -31,7 +31,7 @@ from adqcsim.qmath import (
 )
 from adqcsim.seeding import derive_rng
 
-from oracle import step_operators
+from oracle import seed_sequence_rng, step_operators
 
 THETA = np.pi / 4
 
@@ -367,24 +367,20 @@ def test_initialize_register_weak():
 
 
 def _per_trial_ensemble(register, cfg, seed, trials):
-    return [run_measurement(register, cfg, derive_rng(seed, t)) for t in range(trials)]
+    return [run_measurement(register, cfg, seed_sequence_rng(seed, t)) for t in range(trials)]
 
 
 @pytest.mark.parametrize(
     "theta, epsilon, trials",
     [
-        (np.pi, 0.05, 300),  # n = 1: a 128-draw block holds 128 trials
-        (THETA, 0.05, 1000),  # n = 38: 431 trials a block
-        (0.05, 0.05, 150),  # n = 9586: 64 trials a block, chains read past their row
+        (np.pi, 0.05, 300),  # n = 1
+        (THETA, 0.05, 1000),  # n = 38, streams from four derived blocks
+        (0.05, 0.05, 150),  # n = 9586: chains draw more than one round block
     ],
 )
 @pytest.mark.parametrize("seed", [0, 2**40, 2**64 + 1])
-def test_ensemble_is_the_per_trial_loop(monkeypatch, theta, epsilon, trials, seed):
+def test_ensemble_is_the_per_trial_loop(theta, epsilon, trials, seed):
     cfg = MeasureConfig(theta=theta, epsilon=epsilon)
-    if cfg.n_steps == 1:
-        monkeypatch.setattr(measure, "_DRAWS", 128)
-    per_block = max(64, measure._DRAWS // min(cfg.n_steps, 4096))
-    assert trials > 2 * per_block  # three trial blocks, the last one short
     registers = (plus_state(), basis_state(0), basis_state(1),
                  haar_state(np.random.default_rng(seed % 97), 1))
     for register in registers:
@@ -394,22 +390,20 @@ def test_ensemble_is_the_per_trial_loop(monkeypatch, theta, epsilon, trials, see
         for a, b in zip(got, want):
             assert (a.label, a.steps_used, a.residual_bound) == (b.label, b.steps_used, b.residual_bound)
             assert np.array_equal(a.post_state, b.post_state)
-    if cfg.n_steps > 4096:  # the continuation past the pre-drawn row was taken
+    if cfg.n_steps > 4096:  # some chain read past its first round block
         assert max(r.steps_used for r in got) > 4096
 
 
-def test_ensemble_derives_streams_only_past_the_row(monkeypatch):
+def test_ensemble_derives_one_stream_per_trial_in_order(monkeypatch):
     calls = []
 
     def counted(seed, index=0):
-        calls.append(index)
+        calls.append((seed, index))
         return derive_rng(seed, index)
 
     monkeypatch.setattr(measure, "derive_rng", counted)
     measurement_ensemble(plus_state(), MeasureConfig(theta=THETA), 3, 500)
-    assert calls == []
-    results = measurement_ensemble(plus_state(), MeasureConfig(theta=0.05), 3, 70)
-    assert calls == [t for t, r in enumerate(results) if r.steps_used > 4096]
+    assert calls == [(3, t) for t in range(500)]
 
 
 def test_thresholds_are_built_once_and_read_only():

@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from adqcsim import qmath
 from adqcsim.qmath import (
@@ -276,6 +279,34 @@ def test_bloch_round_trip():
 
 def test_pole_azimuth_is_zero():
     assert state_to_bloch(np.exp(0.3j) * basis_state(1)).phi == 0.0
+
+
+def _wide_matrix(seed: int) -> np.ndarray:
+    """A 4x4 with entries from 2^-30 to 2^30: its norm shows the summation order."""
+    rng = np.random.default_rng(seed)
+    return (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))) * np.exp2(
+        rng.integers(-30, 30, (4, 4))
+    )
+
+
+@settings(max_examples=300)
+@example(x=_wide_matrix(1), transpose=True)
+@given(
+    x=arrays(
+        np.complex128,
+        st.sampled_from([(1,), (2,), (4,), (8,), (2, 2), (4, 4)]),
+        elements=st.complex_numbers(allow_nan=True, allow_infinity=True),
+    ),
+    transpose=st.booleans(),
+)
+def test_norm_is_linalg_norm(x, transpose):
+    # the validators' norm, NaN and inf included, and on a strided view
+    if transpose:
+        x = x.T
+    with np.errstate(all="ignore"):  # both overflow alike on huge entries
+        got, want = qmath._norm(x), np.linalg.norm(x)
+    assert type(got) is float
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 def test_validators():
