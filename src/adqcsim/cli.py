@@ -100,15 +100,6 @@ class NoHits(ValueError):
     """A walk ensemble without a single hit has no histogram to plot."""
 
 
-def _fmt(x) -> str:
-    """One CSV cell: the rule :func:`_csv_text` writes every row by."""
-    if isinstance(x, (bool, np.bool_)):
-        return "1" if x else "0"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return f"{float(x):.17g}"
-
-
 def _json_text(obj) -> str:
     """``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)`` and a newline."""
     return "".join(_json_chunks(obj))
@@ -160,7 +151,7 @@ def _complex_matrix(m: np.ndarray) -> list:
 
 
 def _csv_text(header, rows) -> str:
-    """``header``, then ``",".join(map(_fmt, row))`` for each tuple in ``rows``.
+    """``header``, then one comma-separated line for each tuple in ``rows``.
 
     One %-format writes every row, with each column's kind taken from the
     first row: ``%d`` for bools and ints, ``%.17g`` for the rest.

@@ -7,14 +7,18 @@ the register as the Kraus operator
     K_m = <m| E |a>         (partial inner products on the ancilla factor)
 
 The back-action is a unitary with outcome-independent probability exactly
-when K_m K_m^dag = p_m I.  This module extracts the operators, tests that
-proportionality, samples single steps, and runs the measurement-free
-deterministic programming mode where the ancilla is prepared in a
-computational state and never read out.
+when K_m K_m^dag = p I.  For x = K_m K_m^dag, p = Tr(x)/2 and r =
+sqrt(((x00 - x11)/2)^2 + |x01|^2), x has eigenvalues p -/+ r and
+||x - p I||_F = sqrt(2) r, so x alone gives the verdict and the branch's
+worst-case weight: p, or p + r if K_m is not proportional to unitary.
+This module extracts the operators, tests that proportionality, samples
+single steps, and runs the measurement-free deterministic programming mode
+where the ancilla is prepared in a computational state and never read out.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,10 +41,10 @@ PROP_UNITARY_TOL = 1e-10
 class KrausOutcome:
     """One measurement branch: operator, its probability, unitarity verdict.
 
-    ``probability`` is the worst-case branch weight: for an operator
-    proportional to unitary it is the state-independent Tr(K K^dag)/2, and
-    otherwise the largest eigenvalue of K^dag K.  ``is_zero`` marks branches
-    whose weight vanishes for every input; their operator is zeroed.
+    ``probability`` is the worst-case branch weight (module docstring): the
+    state-independent p = Tr(K K^dag)/2 if K is proportional to unitary, and
+    otherwise p + r, the largest eigenvalue of K^dag K.  ``is_zero`` marks
+    branches whose weight vanishes for every input; their operator is zeroed.
     """
 
     operator: np.ndarray
@@ -56,13 +60,19 @@ class KrausOutcome:
         return as_unitary(self.operator / np.sqrt(self.probability))
 
 
+def _branch(x: list) -> tuple[bool, float, float]:
+    """(verdict, p, r) of K from x = K K^dag as nested lists (module docstring)."""
+    (x00, x01), (_, x11) = x
+    r = math.hypot((x00.real - x11.real) / 2, x01.real, x01.imag)
+    return math.sqrt(2) * r < PROP_UNITARY_TOL, (x00.real + x11.real) / 2, r
+
+
 def is_proportional_unitary(k: np.ndarray) -> tuple[bool, float]:
-    """Test K K^dag = p I within PROP_UNITARY_TOL; returns (verdict, Tr(K K^dag)/2)."""
+    """Test K K^dag = p I for a 2x2 K within PROP_UNITARY_TOL; (verdict, Tr(K K^dag)/2)."""
     k = np.asarray(k, dtype=complex)
-    kk = k @ k.conj().T
-    p = float(kk.trace().real) / k.shape[0]
-    ok = bool(np.linalg.norm(kk - p * np.eye(k.shape[0])) < PROP_UNITARY_TOL)
-    return ok, p
+    if k.shape != (2, 2):
+        raise ValueError(f"expected a 2x2 operator, got shape {k.shape}")
+    return _branch((k @ k.conj().T).tolist())[:2]
 
 
 def kraus_for(
@@ -72,29 +82,26 @@ def kraus_for(
 ) -> list[KrausOutcome]:
     """Kraus operators K_m = <m| E |a> for each basis vector, in order.
 
-    Zero-weight branches are kept (operator zeroed, ``is_zero`` set) so the
-    list stays positionally aligned with the basis.
+    One contraction gives every K_m and one stacked product every K_m K_m^dag,
+    from which each weight follows (module docstring).  Zero-weight branches
+    are kept (operator zeroed, ``is_zero`` set) so the list stays
+    positionally aligned with the basis.
     """
     e = as_unitary(e)
     a = as_state(ancilla)
-    if e.shape != (4, 4) or a.size != 2:
-        raise ValueError("expected a two-qubit interaction and one-qubit ancilla")
-    et = e.reshape(2, 2, 2, 2)  # indices: out-ancilla, out-register, in-ancilla, in-register
+    ms = [as_state(m) for m in basis]
+    if e.shape != (4, 4) or a.size != 2 or any(m.size != 2 for m in ms):
+        raise ValueError("expected a two-qubit interaction, one-qubit ancilla and basis kets")
+    # indices of e: out-ancilla, out-register, in-ancilla, in-register
+    ks = np.einsum("mo,orai,a->mri", np.conj(ms).reshape(-1, 2), e.reshape([2] * 4), a)
     outcomes = []
-    for m in basis:
-        m = as_state(m)
-        k = np.einsum("o,orai,a->ri", m.conj(), et, a)
-        prop, p = is_proportional_unitary(k)
-        if prop:
-            prob = p
-        else:
-            prob = float(np.linalg.eigvalsh(k.conj().T @ k)[-1])
-        if prob < BRANCH_TOL:
-            outcomes.append(
-                KrausOutcome(np.zeros((2, 2), dtype=complex), 0.0, False, is_zero=True)
-            )
-        else:
-            outcomes.append(KrausOutcome(k, prob, prop))
+    for k, x in zip(ks, (ks @ ks.conj().transpose(0, 2, 1)).tolist()):
+        prop, p, r = _branch(x)
+        prob = p if prop else p + r
+        zero = prob < BRANCH_TOL
+        if zero:
+            k, prob, prop = np.zeros((2, 2), dtype=complex), 0.0, False
+        outcomes.append(KrausOutcome(k, prob, prop, zero))
     return outcomes
 
 

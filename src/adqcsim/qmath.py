@@ -15,6 +15,7 @@ Conventions used across the package:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -99,16 +100,12 @@ def plus_state() -> np.ndarray:
     return np.array([1, 1], dtype=complex) / np.sqrt(2)
 
 
-def minus_state() -> np.ndarray:
-    return np.array([1, -1], dtype=complex) / np.sqrt(2)
-
-
 def computational_basis() -> tuple[np.ndarray, np.ndarray]:
     return basis_state(0), basis_state(1)
 
 
 def x_basis() -> tuple[np.ndarray, np.ndarray]:
-    return plus_state(), minus_state()
+    return plus_state(), np.array([1, -1], dtype=complex) / np.sqrt(2)
 
 
 def _norm(x: np.ndarray) -> float:
@@ -130,13 +127,17 @@ def as_state(v: np.ndarray) -> np.ndarray:
     return v
 
 
+# read-only np.eye(n), built once per dimension (a broadcast view cannot be written)
+_eye = functools.cache(lambda n: np.broadcast_to(np.eye(n), (n, n)))
+
+
 def as_unitary(m: np.ndarray) -> np.ndarray:
     """Validate and return a square matrix, unitary within ``UNITARY_TOL``."""
     m = np.asarray(m, dtype=complex)
     if (
         m.ndim != 2
         or m.shape[0] != m.shape[1]
-        or not _norm(m @ m.conj().T - np.eye(m.shape[0])) < UNITARY_TOL
+        or not _norm(m @ m.conj().T - _eye(m.shape[0])) < UNITARY_TOL
     ):
         raise ValueError("matrix is not unitary within tolerance")
     return m

@@ -1,11 +1,12 @@
 """Reference code the tests check the library against, kept out of ``src/``.
 
 A dense statevector toolkit (``apply``, ``measure_qubit``, ``ry``), the weak
-chain's per-round operators, the Weyl coordinates of a two-qubit unitary,
-the determinant geometry of the plane through Bloch points with the
-closed form of its coplanarity defect, the egg scan's formulas point
-by point on numpy scalars, and the RNG contract's streams as numpy builds
-them.
+chain's per-round operators, the per-branch Kraus extraction with LAPACK
+branch weights, the CLI's CSV cell rule, the Weyl coordinates of a
+two-qubit unitary, the determinant geometry of the plane through Bloch
+points with the closed form of its coplanarity defect, the egg scan's
+formulas point by point on numpy scalars, and the RNG contract's streams as
+numpy builds them.
 """
 
 from __future__ import annotations
@@ -15,7 +16,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from adqcsim.egg import COLLINEAR_TOL, EggError
-from adqcsim.qmath import STATE_TOL, BlochPoint, as_state, sample_outcome, wrap_angle
+from adqcsim.kraus import PROP_UNITARY_TOL, KrausOutcome
+from adqcsim.qmath import (
+    BRANCH_TOL,
+    STATE_TOL,
+    BlochPoint,
+    as_state,
+    as_unitary,
+    sample_outcome,
+    wrap_angle,
+)
 
 
 def seed_sequence_rng(seed: int, index: int) -> np.random.Generator:
@@ -105,6 +115,57 @@ def step_operators(theta: float) -> tuple[np.ndarray, np.ndarray]:
     m0 = np.diag([1.0, np.cos(half)]).astype(complex)
     m1 = np.diag([0.0, -1j * np.sin(half)])
     return m0, m1
+
+
+def proportional_unitary_reference(k: np.ndarray) -> tuple[bool, float]:
+    """Test K K^dag = p I by the Frobenius norm of K K^dag - p I; (verdict, p)."""
+    k = np.asarray(k, dtype=complex)
+    kk = k @ k.conj().T
+    p = float(kk.trace().real) / k.shape[0]
+    ok = bool(np.linalg.norm(kk - p * np.eye(k.shape[0])) < PROP_UNITARY_TOL)
+    return ok, p
+
+
+def kraus_reference(
+    e: np.ndarray,
+    ancilla: np.ndarray,
+    basis: tuple[np.ndarray, np.ndarray],
+) -> list[KrausOutcome]:
+    """``kraus_for`` branch by branch: one einsum, norm test and eigvalsh each.
+
+    A branch not proportional to unitary weighs the largest eigenvalue of
+    K^dag K as LAPACK computes it.
+    """
+    e = as_unitary(e)
+    a = as_state(ancilla)
+    if e.shape != (4, 4) or a.size != 2:
+        raise ValueError("expected a two-qubit interaction and one-qubit ancilla")
+    et = e.reshape(2, 2, 2, 2)  # indices: out-ancilla, out-register, in-ancilla, in-register
+    outcomes = []
+    for m in basis:
+        m = as_state(m)
+        k = np.einsum("o,orai,a->ri", m.conj(), et, a)
+        prop, p = proportional_unitary_reference(k)
+        if prop:
+            prob = p
+        else:
+            prob = float(np.linalg.eigvalsh(k.conj().T @ k)[-1])
+        if prob < BRANCH_TOL:
+            outcomes.append(
+                KrausOutcome(np.zeros((2, 2), dtype=complex), 0.0, False, is_zero=True)
+            )
+        else:
+            outcomes.append(KrausOutcome(k, prob, prop))
+    return outcomes
+
+
+def csv_cell(x) -> str:
+    """One CSV cell as the CLI's tables write it: 1/0, a plain integer or %.17g."""
+    if isinstance(x, (bool, np.bool_)):
+        return "1" if x else "0"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return f"{float(x):.17g}"
 
 
 # Magic (phased Bell) basis as columns: local SU(2) x SU(2) becomes real orthogonal

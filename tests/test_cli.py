@@ -21,6 +21,8 @@ from adqcsim import cli, egg
 from adqcsim.egg import AttemptRecord
 from adqcsim.sqwalk import WALK_PRESETS, walk_config
 
+from oracle import csv_cell
+
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
     code = cli.main(list(argv))
@@ -583,7 +585,7 @@ def test_csv_text_is_the_cell_rule(data):
     kinds = data.draw(st.lists(kind, min_size=1, max_size=7))
     rows = data.draw(st.lists(st.tuples(*kinds), max_size=12))
     header = [f"c{j}" for j in range(len(kinds))]
-    lines = [",".join(header)] + [",".join(map(cli._fmt, row)) for row in rows]
+    lines = [",".join(header)] + [",".join(map(csv_cell, row)) for row in rows]
     assert cli._csv_text(header, rows) == "\n".join(lines) + "\n"
 
 

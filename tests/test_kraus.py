@@ -30,8 +30,9 @@ from adqcsim.qmath import (
     tensor,
     x_basis,
 )
+from adqcsim.sqwalk import WALK_PRESETS
 
-from oracle import measure_qubit
+from oracle import kraus_reference, measure_qubit, proportional_unitary_reference
 
 
 def test_diagonal_interaction_computational_ancilla():
@@ -82,6 +83,109 @@ def test_is_proportional_unitary():
     assert not ok
     ok, p = is_proportional_unitary(np.zeros((2, 2)))
     assert ok and p == 0.0
+    for bad in (np.eye(4), np.ones(2), np.ones((2, 3))):
+        with pytest.raises(ValueError, match="2x2"):
+            is_proportional_unitary(bad)
+
+
+@settings(max_examples=300)
+@given(st.integers(0, 2**32 - 1), st.floats(-13, -7))
+def test_is_proportional_unitary_is_the_norm_test(seed, log_eps):
+    # sqrt(2) r against the Frobenius norm of K K^dag - p I, near the tolerance
+    rng = np.random.default_rng(seed)
+    noise = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    k = rng.uniform(0.1, 1.0) * haar_unitary(2, rng) + 10.0**log_eps * noise
+    assert is_proportional_unitary(k) == proportional_unitary_reference(k)
+
+
+def _assert_matches_reference(e, ancilla, basis) -> list[KrausOutcome]:
+    """kraus_for equals the per-branch reference; non-proportional weights to 1e-14."""
+    got, want = kraus_for(e, ancilla, basis), kraus_reference(e, ancilla, basis)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.array_equal(g.operator, w.operator)
+        assert (g.proportional_unitary, g.is_zero) == (w.proportional_unitary, w.is_zero)
+        if w.proportional_unitary or w.is_zero:
+            assert g.probability == w.probability
+        else:
+            assert abs(g.probability - w.probability) <= 1e-14 * w.probability
+    return got
+
+
+@settings(max_examples=300)
+@given(st.integers(0, 2**32 - 1))
+def test_kraus_for_matches_the_per_branch_reference(seed):
+    rng = np.random.default_rng(seed)
+    e = haar_unitary(4, rng)
+    a = haar_state(rng, 1)
+    b = haar_unitary(2, rng)
+    _assert_matches_reference(e, a, (b[:, 0], b[:, 1]))
+
+
+_FIXED = {
+    **{f"walk-{name}": preset for name, preset in WALK_PRESETS.items()},
+    "weak": (weak_interaction(np.pi / 4), plus_state(), computational_basis()),
+    # branch 0 is proportional to unitary, branch 1 is not
+    "weak-mixed": (weak_interaction(np.pi / 4), plus_state(), (plus_state(), basis_state(0))),
+    "zero-branch": (delta_gate(0, 0, 0.3), basis_state(0), computational_basis()),
+    **{
+        f"hh-crz-{bit}-{name}": (hh_crz_interaction(np.pi / 4), basis_state(bit), basis())
+        for bit in (0, 1)
+        for name, basis in (("computational", computational_basis), ("x", x_basis))
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FIXED))
+def test_kraus_for_matches_the_reference_on_fixed_cases(case):
+    ops = _assert_matches_reference(*_FIXED[case])
+    if case == "weak-mixed":
+        assert [o.proportional_unitary for o in ops] == [True, False]
+    if case == "zero-branch":
+        assert [o.is_zero for o in ops] == [False, True]
+
+
+@pytest.mark.parametrize(
+    "e, ancilla, basis",
+    [
+        (np.ones((4, 4)), plus_state(), computational_basis()),
+        (hadamard(), plus_state(), computational_basis()),
+        (np.full((4, 4), np.nan), plus_state(), computational_basis()),
+        (np.diag([np.inf, 1, 1, 1]), plus_state(), computational_basis()),
+        (np.eye(4), np.ones(4) / 2, computational_basis()),
+        (np.eye(4), plus_state(), (np.array([1.0, 1.0]), basis_state(1))),
+        (np.eye(4), plus_state(), (np.array([np.nan, 0.0]), basis_state(1))),
+    ],
+)
+def test_kraus_for_rejects_bad_inputs(e, ancilla, basis):
+    # an inf entry of e warns in as_unitary's product before it is rejected
+    with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+        kraus_for(e, ancilla, basis)
+
+
+def test_kraus_for_names_the_one_qubit_basis():
+    with pytest.raises(ValueError, match="one-qubit"):
+        kraus_for(np.eye(4), plus_state(), (np.ones(4) / 2, basis_state(1)))
+    assert kraus_for(np.eye(4), plus_state(), ()) == []
+
+
+@settings(max_examples=50)
+@given(st.sampled_from(sorted(WALK_PRESETS)), st.integers(0, 2**32 - 1))
+def test_walk_gates_are_the_circuit(preset, seed):
+    # each branch acts on psi as measuring the ancilla after E (a x psi) does,
+    # with the weight p_m whatever psi is
+    e, a, basis = WALK_PRESETS[preset]
+    ops = kraus_for(e, a, basis)
+    psi = haar_state(np.random.default_rng(seed), 1)
+    joint = e @ tensor(a, psi)
+    for m, op in enumerate(ops):
+        u = op.unitary_part
+        np.testing.assert_allclose(u @ u.conj().T, np.eye(2), atol=1e-12)
+        branch = op.operator @ psi
+        _, p, post = measure_qubit(joint, 0, basis, forced=m)
+        assert abs(p - np.vdot(branch, branch).real) < 1e-12
+        assert abs(p - op.probability) < 1e-12
+        np.testing.assert_allclose(post, branch / np.linalg.norm(branch), atol=1e-12)
 
 
 @settings(max_examples=200)

@@ -324,6 +324,38 @@ def test_validators():
     np.testing.assert_allclose(u @ u.conj().T, np.eye(4), atol=1e-12)
 
 
+def test_as_unitary_rejects_non_finite_and_non_square():
+    for bad in (np.nan, np.inf, -np.inf):
+        for i, j in ((0, 0), (0, 1)):
+            m = np.eye(2, dtype=complex)
+            m[i, j] = bad
+            # inf * 0 in the product m m^dag warns before the verdict
+            with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+                as_unitary(m)
+    # rows of an identity (m m^dag = I, not square), a vector, a stack of identities
+    for m in (np.eye(3)[:2], np.ones(4), np.array([np.eye(2)] * 2)):
+        with pytest.raises(ValueError):
+            as_unitary(m)
+    # the identity it compares with is built once per size and cannot be written
+    assert qmath._eye(3) is qmath._eye(3) and not qmath._eye(3).flags.writeable
+    assert np.array_equal(qmath._eye(3), np.eye(3))
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.floats(-13, -8))
+def test_as_unitary_is_the_identity_norm_test(seed, dim, log_eps):
+    # near the tolerance, the verdict is that of ||m m^dag - I|| < UNITARY_TOL
+    rng = np.random.default_rng(seed)
+    m = haar_unitary(dim, rng) + 10.0**log_eps * rng.normal(size=(dim, dim))
+    want = np.linalg.norm(m @ m.conj().T - np.eye(dim)) < qmath.UNITARY_TOL
+    try:
+        as_unitary(m)
+    except ValueError:
+        assert not want
+    else:
+        assert want
+
+
 def test_wrap_angle():
     assert wrap_angle(np.pi) == pytest.approx(np.pi)
     assert wrap_angle(-np.pi) == pytest.approx(np.pi)
