@@ -11,9 +11,10 @@ text; :func:`main` then writes the artifacts as ``<subcommand>.<suffix>``
 under --out-dir with a manifest beside them recording the subcommand, its
 parameters (--seed among them, --out-dir relative to the working
 directory), the package version and the output names, and only then
-prints.  All files go to temporaries first and are renamed into place
-together, so a failed run, in the computation or in the writing, leaves no
-file, and re-running the same manifest reproduces the files byte for byte.
+prints.  The egg-rus log is encoded as it is written (:func:`_json_chunks`).
+All files go to temporaries first and are renamed into place together, so
+a failed run, in the computation, encoding or writing, leaves no file, and
+re-running the same manifest reproduces the files byte for byte.
 classify and kraus print JSON and write it only under an explicit
 --out-dir; the other four print one summary line and always write, into
 the current directory by default.
@@ -29,6 +30,7 @@ import json
 import os
 import re
 import sys
+from collections.abc import Iterator
 from dataclasses import fields
 from pathlib import Path
 
@@ -105,45 +107,56 @@ def _json_text(obj) -> str:
     return "".join(_json_chunks(obj))
 
 
-def _json_chunks(obj) -> list[str]:
-    """:func:`_json_text` in chunks, so that a large artifact is never one string.
+def _json_chunks(obj) -> Iterator[str]:
+    """:func:`_json_text` as lazy chunks, one per element of its top two levels.
 
-    The C encoder has no ``indent``, so lists, tuples, str-keyed dicts and
-    dataclasses (their fields, memoised by id and depth) are written here.
+    The C encoder has no ``indent``, so lists, tuples, str-keyed dicts (by a
+    ``%``-template per key order and depth) and dataclasses (their fields,
+    memoised by id and depth) are written here.
     """
     scalar = json.JSONEncoder(allow_nan=False).encode  # C encoder, exact for scalars
     plain = {int: int.__repr__, bool: {True: "true", False: "false"}.get}
     plain.update(dict.fromkeys((str, float, type(None)), scalar))
-    memo: dict = {}
-    out: list[str] = []
+    templates, memo = {}, {}  # by (depth, *keys in order); by depth, then id
 
-    def emit(x, pad: str) -> None:
-        if type(x) in plain:
-            return out.append(plain[type(x)](x))
-        key, inner = (id(x), len(pad)), pad + "  "
-        if key not in memo and hasattr(type(x), "__dataclass_fields__"):
-            text = _json_text({f.name: getattr(x, f.name) for f in fields(x)})
-            memo[key] = text[:-1].replace("\n", "\n" + pad)
-        if key in memo:
-            return out.append(memo[key])
+    def pairs(x) -> list | None:
+        """(key head, value) per element of a list, tuple or str-keyed dict."""
         if isinstance(x, dict) and all(isinstance(k, str) for k in x):
-            items = [(f"{scalar(k)}: ", v) for k, v in sorted(x.items())]
-        elif isinstance(x, (list, tuple)):
-            items = [("", v) for v in x]
-        else:  # RFC 8259 has no NaN or Infinity; a JSON string holds no raw newline
-            dump = json.dumps(x, indent=2, sort_keys=True, allow_nan=False)
-            return out.append(dump.replace("\n", "\n" + pad))
-        ends, sep = "{}" if isinstance(x, dict) else "[]", ",\n" + inner
-        if not items:
-            return out.append(ends)
-        for i, (head, v) in enumerate(items):
-            out.append((sep if i else ends[0] + "\n" + inner) + head)
-            emit(v, inner)
-        out.append("\n" + pad + ends[1])
+            return [(f"{scalar(k)}: ", v) for k, v in sorted(x.items())]
+        return [("", v) for v in x] if isinstance(x, (list, tuple)) else None
 
-    emit(obj, "")
-    out.append("\n")
-    return out
+    def enc(x, pad: str) -> str:
+        if type(x) in plain:
+            return plain[type(x)](x)
+        inner = pad + "  "
+        if isinstance(x, (list, tuple)) and x:
+            done = memo.setdefault(len(inner), {})
+            parts = [done.get(id(v)) or enc(v, inner) for v in x]
+            return f"[\n{inner}" + f",\n{inner}".join(parts) + f"\n{pad}]"
+        if isinstance(x, dict) and x:
+            shape = (len(pad), *x)
+            if shape not in templates:  # falsy for other keys, which json.dumps writes
+                heads = [h.replace("%", "%%") + "%s" for h, _ in pairs(x) or ()]
+                body = f"{{\n{inner}" + f",\n{inner}".join(heads) + f"\n{pad}}}"
+                templates[shape] = heads and (body, sorted(x))
+            if t := templates[shape]:
+                return t[0] % tuple([enc(x[k], inner) for k in t[1]])
+        if hasattr(type(x), "__dataclass_fields__"):  # a list reads the memo first
+            text = enc({f.name: getattr(x, f.name) for f in fields(x)}, pad)
+            return memo.setdefault(len(pad), {}).setdefault(id(x), text)
+        # RFC 8259 has no NaN or Infinity; a JSON string holds no raw newline
+        dump = json.dumps(x, indent=2, sort_keys=True, allow_nan=False)
+        return dump.replace("\n", "\n" + pad)
+
+    def stream(x, pad: str, levels: int) -> Iterator[str]:
+        items, ends = levels and pairs(x), "{}" if isinstance(x, dict) else "[]"
+        for i, (head, v) in enumerate(items or ()):
+            yield (",\n" if i else ends[0] + "\n") + pad + "  " + head
+            yield from stream(v, pad + "  ", levels - 1)
+        yield "\n" + pad + ends[1] if items else enc(x, pad)  # or x whole
+
+    yield from stream(obj, "", 2)
+    yield "\n"
 
 
 def _complex_matrix(m: np.ndarray) -> list:
@@ -184,10 +197,10 @@ def _echo(args: argparse.Namespace, payload: dict) -> tuple[dict, str]:
 def _write_outputs(args: argparse.Namespace, files: dict) -> None:
     """Write each artifact as ``<subcommand>.<suffix>`` and the manifest, all or none.
 
-    Each file is written whole, chunk by chunk, to a hidden temporary in
-    --out-dir, and the temporaries are renamed into place only once all are
-    written.  If any step fails, every temporary and every file already
-    renamed is removed before the error propagates.
+    Each file goes to a hidden temporary in --out-dir, chunk by chunk as a
+    lazy iterable makes them; the temporaries are renamed into place once all
+    are written.  If any step fails, encoding too, every temporary and every
+    file already renamed is removed before the error propagates.
     """
     named = {f"{args.command}.{suffix}": text for suffix, text in files.items()}
     parameters = {k: v for k, v in vars(args).items() if k != "func"}

@@ -137,6 +137,7 @@ def as_unitary(m: np.ndarray) -> np.ndarray:
     if (
         m.ndim != 2
         or m.shape[0] != m.shape[1]
+        or not np.isfinite(m).all()  # before the product, where inf * 0 warns
         or not _norm(m @ m.conj().T - _eye(m.shape[0])) < UNITARY_TOL
     ):
         raise ValueError("matrix is not unitary within tolerance")

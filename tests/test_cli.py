@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -9,6 +10,7 @@ import os
 import re
 import tempfile
 import warnings
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -604,6 +606,74 @@ def test_json_text_writes_non_str_keys_as_the_stdlib_does():
         assert cli._json_text(obj) == _stdlib_json(obj)
 
 
+def _plain(x):
+    """``x`` with each dataclass replaced by its field dict, as the stdlib reads it."""
+    if isinstance(x, AttemptRecord):
+        return vars(x)
+    if isinstance(x, dict):
+        return {k: _plain(v) for k, v in x.items()}
+    return [_plain(v) for v in x] if isinstance(x, (list, tuple)) else x
+
+
+# dicts that repeat one key set, in every insertion order and at several
+# depths, so that each template is reused; the keys hold "%" as a template
+# would read it, beside empty dicts, int-keyed dicts and shared records
+_RECORDS = [AttemptRecord(1, 0, 0, False, -0.0), AttemptRecord(3, 1, 0, True, np.pi)]
+_TEMPLATE_KEYS = st.lists(
+    st.sampled_from(["%", "%s", "%%d", "", "%(a)s", "a"]) | _JSON_KEYS,
+    min_size=1, max_size=4, unique=True,
+)
+
+
+@st.composite
+def _shaped_trees(draw):
+    keys = draw(_TEMPLATE_KEYS)
+
+    def shaped(inner):
+        return st.permutations(keys).flatmap(
+            lambda order: st.tuples(*[inner] * len(order)).map(lambda v: dict(zip(order, v)))
+        )
+
+    leaves = st.one_of(
+        _JSON_LEAVES,
+        st.sampled_from(_RECORDS),
+        st.just({}),
+        st.dictionaries(st.integers(-3, 3), _JSON_LEAVES, max_size=3),
+    )
+    return draw(st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            shaped(inner),
+            st.lists(shaped(inner), min_size=2, max_size=4),
+            st.lists(inner, max_size=4).map(tuple),
+            st.dictionaries(_JSON_KEYS, inner, max_size=3),
+        ),
+        max_leaves=30,
+    ))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_shaped_trees())
+def test_json_templates_are_the_stdlib_indented_dump(tree):
+    assert cli._json_text(tree) == _stdlib_json(_plain(tree))
+
+
+def test_json_chunks_are_lazy_and_at_most_one_trial_long():
+    args = cli.build_parser().parse_args(["egg-rus", "--trials", "500", "--seed", "2"])
+    chunks = args.func(args)[0]["json"]
+    assert isinstance(chunks, Iterator)
+    chunks = list(chunks)
+    payload = json.loads("".join(chunks))
+    assert "".join(chunks) == _stdlib_json(payload)
+    # a trial as it stands in the file, its lines indented by 4
+    longest = max(
+        len(json.dumps(t, indent=2, sort_keys=True).replace("\n", "\n    "))
+        for t in payload["trials"]
+    )
+    assert len(chunks) > 500
+    assert max(map(len, chunks)) <= longest
+
+
 def test_egg_scan_outputs(capsys, tmp_path):
     code, out, _ = run(
         capsys, "egg-scan", "--samples", "41", "--out-dir", str(tmp_path)
@@ -707,6 +777,44 @@ def test_egg_rus_consistency(capsys, tmp_path):
         for rec in t["log"][:-1]:
             assert not rec["success"]
             assert abs(rec["combined_phase"]) < 1e-9
+
+
+# sha256 of egg-rus.json, taken before the encoder wrote dicts through
+# templates and chunks lazily; the second run has exhausted trials
+EGG_RUS_DIGESTS = {
+    ("--trials", "300", "--seed", "13"):
+        "53f6af53f220eea19a33f1f12d0a068ecd9c92130c3e9562cbf74544e5dd1228",
+    ("--trials", "200", "--max-attempts", "3", "--seed", "5"):
+        "200ff74bae3a257464248be367db83b1984acbeccb5569c7e8df6b45f402a25f",
+}
+
+
+@pytest.mark.parametrize("argv", list(EGG_RUS_DIGESTS))
+def test_egg_rus_digests(capsys, tmp_path, argv):
+    code, _, _ = run(capsys, "egg-rus", *argv, "--out-dir", str(tmp_path))
+    assert code == 0
+    digest = hashlib.sha256((tmp_path / "egg-rus.json").read_bytes()).hexdigest()
+    assert digest == EGG_RUS_DIGESTS[argv]
+
+
+def test_egg_rus_failing_in_the_write_leaves_no_file(capsys, tmp_path, monkeypatch):
+    # the last trial's NaN phase is met only while the log is being written
+    calls = []
+
+    def last_is_nan(alpha, rng, max_attempts):
+        result = run_rus(alpha, rng, max_attempts)
+        calls.append(result)
+        if len(calls) < 50:
+            return result
+        bad = dataclasses.replace(result.log[-1], combined_phase=float("nan"))
+        return dataclasses.replace(result, log=(*result.log[:-1], bad))
+
+    run_rus = cli.run_rus
+    monkeypatch.setattr(cli, "run_rus", last_is_nan)
+    code, out, err = run(capsys, "egg-rus", "--trials", "50", "--out-dir", str(tmp_path))
+    assert (code, out, len(calls)) == (2, "", 50)
+    assert json.loads(err)["error"] == "ArgumentError"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_measure_defaults(capsys, tmp_path):
