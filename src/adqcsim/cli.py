@@ -26,6 +26,7 @@ balanced operating point in the requested range), 4 I/O failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import re
@@ -200,7 +201,8 @@ def _write_outputs(args: argparse.Namespace, files: dict) -> None:
     Each file goes to a hidden temporary in --out-dir, chunk by chunk as a
     lazy iterable makes them; the temporaries are renamed into place once all
     are written.  If any step fails, encoding too, every temporary and every
-    file already renamed is removed before the error propagates.
+    file already renamed is removed before the error propagates, and then each
+    directory that this call made, deepest first, if it is empty.
     """
     named = {f"{args.command}.{suffix}": text for suffix, text in files.items()}
     parameters = {k: v for k, v in vars(args).items() if k != "func"}
@@ -215,9 +217,13 @@ def _write_outputs(args: argparse.Namespace, files: dict) -> None:
     }
     named[f"{args.command}_manifest.json"] = _json_text(manifest)
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    made: list[Path] = []  # directories made here, shallowest first
     written: list[Path] = []  # per file: its temporary, then its target once renamed
     try:
+        for path in (*reversed(out_dir.parents), out_dir):
+            with contextlib.suppress(FileExistsError):
+                path.mkdir()
+                made.append(path)
         for name, text in named.items():
             with open(out_dir / f".{name}.{os.getpid()}.tmp", "x", newline="\n") as fh:
                 written.append(Path(fh.name))
@@ -228,6 +234,9 @@ def _write_outputs(args: argparse.Namespace, files: dict) -> None:
     except BaseException:
         for path in written:
             path.unlink(missing_ok=True)
+        for path in reversed(made):
+            with contextlib.suppress(OSError):  # not empty: someone else wrote there
+                path.rmdir()
         raise
 
 

@@ -24,10 +24,10 @@ round k + 1 reads 1 with probability
 :func:`run_measurement` compares blocks of ``rng.random(min(4096, rounds
 left))`` with p0_k: a chain of n <= 4096 rounds takes all n draws even when
 it halts early, a longer one stops after the block that holds its click, and
-memory is bounded by the block, not by n.  The thresholds of a round block
-are computed once per register, theta and block start and kept, read-only,
-in a small cache shared by every chain.
-
+memory is bounded by the block, not by n.  A plan, cached per register (by
+its bytes), theta and n, holds the read-only thresholds of the first block and,
+once a chain reads n zeros, the label-0 result: label-0 chains share its
+read-only post state, as label-1 chains share one read-only |1>.
 :func:`measurement_ensemble` runs trial t as one :func:`run_measurement` call
 on the stream ``derive_rng(seed, t)``.
 """
@@ -35,7 +35,7 @@ on the stream ``derive_rng(seed, t)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -51,6 +51,7 @@ from .qmath import (
 from .seeding import derive_rng
 
 _BLOCK = 4096
+_ONE = np.broadcast_to(basis_state(1), 2)  # read-only: every label-1 result shares it
 
 
 def weak_interaction(theta: float) -> np.ndarray:
@@ -135,15 +136,33 @@ class MeasureResult:
 
 
 @lru_cache(maxsize=4)
-def _thresholds(a2: float, b2: float, theta: float, start: int, m: int):
-    """Read-only p0_k and p1_k for rounds k = start .. start + m - 1."""
-    half = theta / 2
-    tail = b2 * (np.cos(half) ** 2) ** np.arange(start, start + m)
-    # |b_k|^2 after k zero rounds; a = 0 stays |1> (and tail may underflow to 0)
-    p1 = (tail / (a2 + tail) if a2 else np.ones(m)) * np.sin(half) ** 2
-    p0 = 1.0 - p1
-    p0.flags.writeable = p1.flags.writeable = False
-    return p0, p1
+class _Plan:
+    """A checked register's chain, cached by its complex bytes; a failure is not kept."""
+
+    def __init__(self, key: bytes, theta: float, n: int):
+        self.psi = psi = as_state(np.frombuffer(key, dtype=complex))
+        if psi.size != 2:
+            raise ValueError("register must be a single qubit")
+        self.theta, self.n, self.a2, self.b2 = theta, n, *abs(psi) ** 2
+        self.first = self.block(0)
+
+    @lru_cache(maxsize=4)  # four blocks, so it keeps at most four plans alive
+    def block(self, start: int) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only p0_k and p1_k for rounds k = start .. start + m - 1."""
+        half, m = self.theta / 2, min(_BLOCK, self.n - start)
+        tail = self.b2 * (np.cos(half) ** 2) ** np.arange(start, start + m)
+        # |b_k|^2 after k zero rounds; a = 0 stays |1> (and tail may underflow to 0)
+        p1 = (tail / (self.a2 + tail) if self.a2 else np.ones(m)) * np.sin(half) ** 2
+        p0 = 1.0 - p1
+        p0.flags.writeable = p1.flags.writeable = False
+        return p0, p1
+
+    @cached_property  # lazy: a register that all but never reads n zeros may give 0/0
+    def zero(self) -> MeasureResult:
+        residual = np.cos(self.theta / 2) ** self.n
+        post = np.array([self.psi[0], self.psi[1] * residual])
+        post = np.broadcast_to(post / np.linalg.norm(post), 2)  # read-only
+        return MeasureResult(0, self.n, post, float(residual))
 
 
 def run_measurement(
@@ -151,29 +170,20 @@ def run_measurement(
 ) -> MeasureResult:
     """Chain up to n weak rounds, halting at the first 1 outcome.
 
-    Draw k of the blocks (module docstring) decides round k + 1 against
-    p0_k by the rule of :func:`~adqcsim.qmath.sample_outcome`, so each round
-    reads what :func:`weak_step` calls on the same stream read, and an
-    impossible branch still raises.  A block is drawn whole, even on a halt.
+    Draw k of a block (module docstring) decides round k + 1 against p0_k by
+    the rule of :func:`~adqcsim.qmath.sample_outcome`, as :func:`weak_step`
+    calls on the same stream would, and an impossible branch still raises.
     """
-    psi = as_state(register)
-    if psi.size != 2:
-        raise ValueError("register must be a single qubit")
-    n = cfg.n_steps
-    a2, b2 = abs(psi) ** 2
-    for start in range(0, n, _BLOCK):
-        m = min(_BLOCK, n - start)
-        p0, p1 = _thresholds(float(a2), float(b2), cfg.theta, start, m)
-        clicks = np.flatnonzero(rng.random(m) >= p0)
-        k = int(clicks[0]) if clicks.size else m
-        if k and not start:  # p0_k grows with k: round 1 is the lightest 0 taken
+    plan = _Plan(np.asarray(register, dtype=complex).tobytes(), cfg.theta, cfg.n_steps)
+    for start in range(0, plan.n, _BLOCK):
+        p0, p1 = plan.block(start) if start else plan.first
+        hits = rng.random(p0.size) >= p0
+        if not (start or hits[0]):  # p0_k grows with k: round 1 is the lightest 0 taken
             sample_outcome(p0[0], p1[0], forced=0)
-        if k < m:
+        if hits[k := int(hits.argmax())]:  # k is the first click, if there is one
             sample_outcome(p0[k], p1[k], forced=1)
-            return MeasureResult(1, start + k + 1, basis_state(1), 0.0)
-    residual = np.cos(cfg.theta / 2) ** n
-    post = np.array([psi[0], psi[1] * residual])
-    return MeasureResult(0, n, post / np.linalg.norm(post), float(residual))
+            return MeasureResult(1, start + k + 1, _ONE, 0.0)
+    return plan.zero
 
 
 def measurement_ensemble(

@@ -797,7 +797,7 @@ def test_egg_rus_digests(capsys, tmp_path, argv):
     assert digest == EGG_RUS_DIGESTS[argv]
 
 
-def test_egg_rus_failing_in_the_write_leaves_no_file(capsys, tmp_path, monkeypatch):
+def _egg_rus_failing_in_the_write(capsys, monkeypatch, out_dir: Path) -> None:
     # the last trial's NaN phase is met only while the log is being written
     calls = []
 
@@ -811,10 +811,37 @@ def test_egg_rus_failing_in_the_write_leaves_no_file(capsys, tmp_path, monkeypat
 
     run_rus = cli.run_rus
     monkeypatch.setattr(cli, "run_rus", last_is_nan)
-    code, out, err = run(capsys, "egg-rus", "--trials", "50", "--out-dir", str(tmp_path))
+    code, out, err = run(capsys, "egg-rus", "--trials", "50", "--out-dir", str(out_dir))
     assert (code, out, len(calls)) == (2, "", 50)
     assert json.loads(err)["error"] == "ArgumentError"
+
+
+def test_egg_rus_failing_in_the_write_leaves_no_file(capsys, tmp_path, monkeypatch):
+    # fd, fd/new and fd/new/sub were made by the run, and go with its files
+    _egg_rus_failing_in_the_write(capsys, monkeypatch, tmp_path / "fd" / "new" / "sub")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_egg_rus_failing_in_the_write_keeps_an_existing_out_dir(capsys, tmp_path, monkeypatch):
+    (tmp_path / "sub").mkdir()
+    _egg_rus_failing_in_the_write(capsys, monkeypatch, tmp_path / "sub")
+    assert [p.name for p in tmp_path.iterdir()] == ["sub"]
+    assert list((tmp_path / "sub").iterdir()) == []
+
+
+def test_failed_write_keeps_a_made_directory_that_is_not_empty(capsys, tmp_path, monkeypatch):
+    # a file that another writer puts in a directory the run made keeps that directory
+    out_dir = tmp_path / "made" / "sub"
+
+    def failing_rename(src, dst):
+        (out_dir.parent / "other.txt").write_text("x")
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(cli.os, "replace", failing_rename)
+    code, _, err = run(capsys, "measure", "--trials", "5", "--out-dir", str(out_dir))
+    assert (code, json.loads(err)["error"]) == (4, "IOError")
+    assert [p.name for p in tmp_path.iterdir()] == ["made"]
+    assert [p.name for p in (tmp_path / "made").iterdir()] == ["other.txt"]
 
 
 def test_measure_defaults(capsys, tmp_path):
@@ -966,3 +993,42 @@ def test_rng_contract_digests(capsys, tmp_path):
         m for rec in log for m in (rec["outcome_first"], rec["outcome_second"])
     )
     assert got == RNG_CONTRACT_DIGESTS
+
+
+# sha256 of measure.csv and measure.json, taken before chains ran from a cached
+# plan per register.  residual_bound and the frequencies are floats, so these
+# also pin numpy's pow and libm to the last bit, as EGG_SCAN_DIGESTS do.
+MEASURE_DIGESTS = {
+    ("--trials", "2000", "--seed", "3"): (
+        "3a9355eb4e6603d9db714247cc159831d0aa1e71fa02b0146d16143185214a8e",
+        "d745a1b0fb56fd2df21f6b9cd08e260970b005c2ae19ec3bac57573b260f77f1",
+    ),
+    # n = 9586: chains read past their first block of 4096 rounds
+    ("--theta", "0.05", "--trials", "300"): (
+        "69a7e7a6a17695a86c49c7602473f8d377fd6e105b5f5235971a6840128854e0",
+        "83c977419eadd23ffd5fa907c2de029f8db72f1125163634415a077552798ff7",
+    ),
+    ("--state", "1.1", "0.4"): (
+        "f7042356ab8b693a399d7a8485c5ed2d82b091a05c9be02ac5e55e491e5aaf96",
+        "4d66146388a1a37761ddf7065d2b9b884af863a250f705c82a80f3e248abb991",
+    ),
+    ("--state", "0", "0"): (
+        "d8f6bfcf0b0cfdb4907e680a7be46d306e8a438abc8db172bf3b34f4bfd7b084",
+        "3c62426cb5a9905ad6cbe19dbe88c4082005260300449a69694af5ecb00da429",
+    ),
+    ("--state", "3.141592653589793", "0"): (
+        "b679e8ed41466f01ec49be8711396da35b3c5daed16e47432cec1574aaa1fd55",
+        "4f2cc9852bbca381a407ff9e805ae58ddc8778b1427e4221533f7b7dd842886d",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(MEASURE_DIGESTS))
+def test_measure_digests(capsys, tmp_path, argv):
+    code, _, _ = run(capsys, "measure", *argv, "--format", "both", "--out-dir", str(tmp_path))
+    assert code == 0
+    got = tuple(
+        hashlib.sha256((tmp_path / f"measure.{suffix}").read_bytes()).hexdigest()
+        for suffix in ("csv", "json")
+    )
+    assert got == MEASURE_DIGESTS[argv]

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -406,10 +407,63 @@ def test_ensemble_derives_one_stream_per_trial_in_order(monkeypatch):
     assert calls == [(3, t) for t in range(500)]
 
 
-def test_thresholds_are_built_once_and_read_only():
-    measure._thresholds.cache_clear()
-    measurement_ensemble(plus_state(), MeasureConfig(theta=THETA), 0, 100)
-    info = measure._thresholds.cache_info()
+def test_plan_is_built_once_per_register_and_shared_read_only():
+    measure._Plan.cache_clear()
+    results = measurement_ensemble(plus_state(), MeasureConfig(theta=THETA), 0, 100)
+    info = measure._Plan.cache_info()
     assert (info.misses, info.hits) == (1, 99)
-    p0, p1 = measure._thresholds(0.5, 0.5, THETA, 0, 38)
-    assert not p0.flags.writeable and not p1.flags.writeable
+    plan = measure._Plan(plus_state().tobytes(), THETA, 38)
+    zeros = [r for r in results if r.label == 0]
+    ones = [r for r in results if r.label == 1]
+    assert zeros and ones
+    # one label-0 result and one |1> for every chain
+    assert all(r is plan.zero for r in zeros)
+    assert all(r.post_state is ones[0].post_state for r in ones)
+    for array in (*plan.first, plan.zero.post_state, ones[0].post_state):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+
+
+@pytest.mark.parametrize(
+    "register",
+    [np.array([np.nan, 1.0]), np.array([1.0, 1.0]), np.array([1.0, 0.0, 0.0])],
+    ids=["nan", "unnormalised", "three-element"],
+)
+def test_bad_register_raises_on_every_call(register):
+    cfg = MeasureConfig(theta=THETA)
+    measure._Plan.cache_clear()
+    for t in range(3):
+        with pytest.raises(ValueError):
+            run_measurement(register, cfg, derive_rng(0, t))
+    with pytest.raises(ValueError):
+        measurement_ensemble(register, cfg, 0, 5)
+    assert measure._Plan.cache_info().currsize == 0
+
+
+def test_register_mutated_in_place_is_read_afresh():
+    # on seed 1 the chains on |+> and on (0.6, 0.8i) read n zeros, with
+    # different post states, and the chain on |1> clicks
+    cfg = MeasureConfig(theta=THETA)
+    register = plus_state()
+    labels = []
+    for new in (plus_state(), np.array([0.6, 0.8j]), basis_state(1)):
+        register[:] = new
+        got = run_measurement(register, cfg, derive_rng(1, 0))
+        want = _reference_chain(new, cfg, derive_rng(1, 0))
+        assert (got.label, got.steps_used) == (want.label, want.steps_used)
+        np.testing.assert_allclose(got.post_state, want.post_state, rtol=0, atol=1e-12)
+        labels.append(got.label)
+    assert labels == [0, 0, 1]
+
+
+def test_label_zero_result_is_built_only_when_a_chain_needs_it():
+    # cos(1.55) ** 193 underflows to 0, so a label-0 post state for |1> would
+    # divide 0 by 0; no chain on |1> reads 193 zeros, so none is built
+    cfg = MeasureConfig(theta=3.1, epsilon=5e-324)
+    assert cfg.n_steps == 193 and np.cos(1.55) ** 193 == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        results = measurement_ensemble(basis_state(1), cfg, 0, 20)
+    assert {r.label for r in results} == {1}
+    assert "zero" not in vars(measure._Plan(basis_state(1).tobytes(), 3.1, 193))
