@@ -11,9 +11,10 @@ text; :func:`main` then writes the artifacts as ``<subcommand>.<suffix>``
 under --out-dir with a manifest beside them recording the subcommand, its
 parameters (--seed among them, --out-dir relative to the working
 directory), the package version and the output names, and only then
-prints.  The egg-rus log is encoded as it is written (:func:`_json_chunks`).
-All files go to temporaries first and are renamed into place together, so
-a failed run, in the computation, encoding or writing, leaves no file, and
+prints.  Every CSV and JSON artifact is a lazy chunk stream, encoded as it
+is written (:func:`_csv_chunks`, :func:`_json_chunks`), so no table is held
+whole as text.  All files go to temporaries first and are renamed into place
+together, so a failed run, in the computation, encoding or writing, leaves no file, and
 re-running the same manifest reproduces the files byte for byte.
 classify and kraus print JSON and write it only under an explicit
 --out-dir; the other four print one summary line and always write, into
@@ -27,11 +28,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import os
 import re
 import sys
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import fields
 from pathlib import Path
 
@@ -72,6 +74,8 @@ EXIT_NUMERIC = 3
 EXIT_IO = 4
 
 CLI_CLASS_TOL = 1e-6
+CSV_BLOCK = 4096  # lines per CSV chunk, and record-array rows per tolist()
+JSON_MEMO = 4096  # dataclasses whose text the JSON encoder keeps at once
 
 # kraus flags with their defaults, and the flags each preset does not read;
 # kraus rejects any other value of an unread flag, so that a contradictory
@@ -111,20 +115,23 @@ def _json_text(obj) -> str:
 def _json_chunks(obj) -> Iterator[str]:
     """:func:`_json_text` as lazy chunks, one per element of its top two levels.
 
+    An iterator at those levels is written as a JSON array while it is drawn.
     The C encoder has no ``indent``, so lists, tuples, str-keyed dicts (by a
     ``%``-template per key order and depth) and dataclasses (their fields,
-    memoised by id and depth) are written here.
+    memoised by id and depth) are written here.  The memo holds every
+    dataclass it has text for, so no id in it can pass to a new object, and
+    it is emptied at JSON_MEMO of them, so lazily made records are not all kept.
     """
     scalar = json.JSONEncoder(allow_nan=False).encode  # C encoder, exact for scalars
     plain = {int: int.__repr__, bool: {True: "true", False: "false"}.get}
     plain.update(dict.fromkeys((str, float, type(None)), scalar))
-    templates, memo = {}, {}  # by (depth, *keys in order); by depth, then id
+    templates, memo, held = {}, {}, []  # by (depth, *keys in order); by depth, then id
 
-    def pairs(x) -> list | None:
-        """(key head, value) per element of a list, tuple or str-keyed dict."""
+    def pairs(x) -> Iterable | None:
+        """(key head, value) per element of a list, tuple, iterator or str-keyed dict."""
         if isinstance(x, dict) and all(isinstance(k, str) for k in x):
             return [(f"{scalar(k)}: ", v) for k, v in sorted(x.items())]
-        return [("", v) for v in x] if isinstance(x, (list, tuple)) else None
+        return (("", v) for v in x) if isinstance(x, (list, tuple, Iterator)) else None
 
     def enc(x, pad: str) -> str:
         if type(x) in plain:
@@ -144,17 +151,23 @@ def _json_chunks(obj) -> Iterator[str]:
                 return t[0] % tuple([enc(x[k], inner) for k in t[1]])
         if hasattr(type(x), "__dataclass_fields__"):  # a list reads the memo first
             text = enc({f.name: getattr(x, f.name) for f in fields(x)}, pad)
-            return memo.setdefault(len(pad), {}).setdefault(id(x), text)
+            if len(held) == JSON_MEMO:  # a held object keeps its id: drop them all at once
+                for kept in (held, *memo.values()):
+                    kept.clear()
+            held.append(x)
+            memo.setdefault(len(pad), {})[id(x)] = text
+            return text
         # RFC 8259 has no NaN or Infinity; a JSON string holds no raw newline
         dump = json.dumps(x, indent=2, sort_keys=True, allow_nan=False)
         return dump.replace("\n", "\n" + pad)
 
     def stream(x, pad: str, levels: int) -> Iterator[str]:
-        items, ends = levels and pairs(x), "{}" if isinstance(x, dict) else "[]"
-        for i, (head, v) in enumerate(items or ()):
-            yield (",\n" if i else ends[0] + "\n") + pad + "  " + head
+        items, i = pairs(x) if levels else None, 0
+        ends = "{}" if isinstance(x, dict) else "[]"
+        for i, (head, v) in enumerate(items or (), 1):
+            yield (",\n" if i > 1 else ends[0] + "\n") + pad + "  " + head
             yield from stream(v, pad + "  ", levels - 1)
-        yield "\n" + pad + ends[1] if items else enc(x, pad)  # or x whole
+        yield enc(x, pad) if items is None else ("\n" + pad + ends[1] if i else ends)
 
     yield from stream(obj, "", 2)
     yield "\n"
@@ -165,27 +178,35 @@ def _complex_matrix(m: np.ndarray) -> list:
 
 
 def _csv_text(header, rows) -> str:
-    """``header``, then one comma-separated line for each tuple in ``rows``.
+    """``header``, then one comma-separated line for each tuple in ``rows``."""
+    return "".join(_csv_chunks(header, rows))
+
+
+def _csv_chunks(header, rows) -> Iterator[str]:
+    """:func:`_csv_text` as lazy chunks: the header, then runs of CSV_BLOCK lines.
 
     One %-format writes every row, with each column's kind taken from the
     first row: ``%d`` for bools and ints, ``%.17g`` for the rest.
     """
+    yield ",".join(header) + "\n"
     rows = iter(rows)
     first = next(rows, None)
     if first is None:
-        return ",".join(header) + "\n"
+        return
     ints = (int, np.integer, np.bool_)
-    fmt = ",".join("%d" if isinstance(v, ints) else "%.17g" for v in first)
-    return "\n".join([",".join(header), fmt % first, *map(fmt.__mod__, rows)]) + "\n"
+    fmt = ",".join("%d" if isinstance(v, ints) else "%.17g" for v in first) + "\n"
+    lines = map(fmt.__mod__, itertools.chain([first], rows))
+    while block := list(itertools.islice(lines, CSV_BLOCK)):
+        yield "".join(block)
 
 
 def _tables(args: argparse.Namespace, header, rows, summary: dict) -> dict:
     """The --format-selected artifacts: a CSV of ``rows`` and a JSON summary."""
     files = {}
     if args.format in ("csv", "both"):
-        files["csv"] = _csv_text(header, rows)
+        files["csv"] = _csv_chunks(header, rows)
     if args.format in ("json", "both"):
-        files["json"] = _json_text(summary)
+        files["json"] = _json_chunks(summary)
     return files
 
 
@@ -215,7 +236,7 @@ def _write_outputs(args: argparse.Namespace, files: dict) -> None:
         "version": __version__,
         "outputs": sorted(named),
     }
-    named[f"{args.command}_manifest.json"] = _json_text(manifest)
+    named[f"{args.command}_manifest.json"] = _json_chunks(manifest)
     out_dir = Path(out_dir)
     made: list[Path] = []  # directories made here, shallowest first
     written: list[Path] = []  # per file: its temporary, then its target once renamed
@@ -357,7 +378,9 @@ def _cmd_egg_scan(args: argparse.Namespace) -> tuple[dict, str]:
         "delta_phi_at_beta_star": np.pi,
         "success_prob_at_beta_star": success_probability(args.alpha, beta_star),
     }
-    files = _tables(args, rows.dtype.names, rows.tolist(), summary)
+    # one block of rows at a time as Python tuples, not the whole scan
+    blocks = (rows[k : k + CSV_BLOCK].tolist() for k in range(0, len(rows), CSV_BLOCK))
+    files = _tables(args, rows.dtype.names, itertools.chain.from_iterable(blocks), summary)
     return files, (
         f"egg-scan: beta* = {beta_star:.6f}, success prob "
         f"{summary['success_prob_at_beta_star']:.6f}\n"
@@ -379,7 +402,7 @@ def _cmd_egg_rus(args: argparse.Namespace) -> tuple[dict, str]:
         "mean_attempts": float(np.mean([r.attempts for r in trials])),
         "all_succeeded": all(r.success for r in trials),
         # the JSON keys are the field names of RusResult and AttemptRecord
-        "trials": [{"trial": t, **vars(r)} for t, r in enumerate(trials)],
+        "trials": ({"trial": t, **vars(r)} for t, r in enumerate(trials)),
     }
     return {"json": _json_chunks(payload)}, (
         f"egg-rus: mean attempts {payload['mean_attempts']:.2f} "

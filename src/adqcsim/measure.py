@@ -25,9 +25,11 @@ round k + 1 reads 1 with probability
 left))`` with p0_k: a chain of n <= 4096 rounds takes all n draws even when
 it halts early, a longer one stops after the block that holds its click, and
 memory is bounded by the block, not by n.  A plan, cached per register (by
-its bytes), theta and n, holds the read-only thresholds of the first block and,
-once a chain reads n zeros, the label-0 result: label-0 chains share its
-read-only post state, as label-1 chains share one read-only |1>.
+its bytes), theta and n, holds the read-only p1_k of the first _KEPT_BLOCKS
+blocks it builds, so chains, which read blocks in order, build each of those
+once (p0_k = 1 - p1_k, exact, is redone per read), and, once a chain reads n
+zeros, the label-0 result: label-0 chains share its read-only post state, as
+label-1 chains share one read-only |1>.
 :func:`measurement_ensemble` runs trial t as one :func:`run_measurement` call
 on the stream ``derive_rng(seed, t)``.
 """
@@ -51,6 +53,7 @@ from .qmath import (
 from .seeding import derive_rng
 
 _BLOCK = 4096
+_KEPT_BLOCKS = 16  # p1 blocks per plan: 512 KiB, 2 MiB over the 4 cached plans
 _ONE = np.broadcast_to(basis_state(1), 2)  # read-only: every label-1 result shares it
 
 
@@ -144,15 +147,18 @@ class _Plan:
         if psi.size != 2:
             raise ValueError("register must be a single qubit")
         self.theta, self.n, self.a2, self.b2 = theta, n, *abs(psi) ** 2
+        self.kept: dict[int, np.ndarray] = {}  # p1 by block start
         self.first = self.block(0)
 
-    @lru_cache(maxsize=4)  # four blocks, so it keeps at most four plans alive
     def block(self, start: int) -> tuple[np.ndarray, np.ndarray]:
         """Read-only p0_k and p1_k for rounds k = start .. start + m - 1."""
-        half, m = self.theta / 2, min(_BLOCK, self.n - start)
-        tail = self.b2 * (np.cos(half) ** 2) ** np.arange(start, start + m)
-        # |b_k|^2 after k zero rounds; a = 0 stays |1> (and tail may underflow to 0)
-        p1 = (tail / (self.a2 + tail) if self.a2 else np.ones(m)) * np.sin(half) ** 2
+        if (p1 := self.kept.get(start)) is None:
+            half, m = self.theta / 2, min(_BLOCK, self.n - start)
+            tail = self.b2 * (np.cos(half) ** 2) ** np.arange(start, start + m)
+            # |b_k|^2 after k zero rounds; a = 0 stays |1> (and tail may underflow to 0)
+            p1 = (tail / (self.a2 + tail) if self.a2 else np.ones(m)) * np.sin(half) ** 2
+            if len(self.kept) < _KEPT_BLOCKS:
+                self.kept[start] = p1
         p0 = 1.0 - p1
         p0.flags.writeable = p1.flags.writeable = False
         return p0, p1

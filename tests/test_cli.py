@@ -9,6 +9,7 @@ import json
 import os
 import re
 import tempfile
+import tracemalloc
 import warnings
 from collections.abc import Iterator
 from pathlib import Path
@@ -674,6 +675,57 @@ def test_json_chunks_are_lazy_and_at_most_one_trial_long():
     assert max(map(len, chunks)) <= longest
 
 
+def test_json_iterators_are_arrays_and_an_empty_one_is_empty():
+    assert cli._json_text(iter(())) == "[]\n"
+    shapes = [
+        ({"a": iter([]), "b": 1}, {"a": [], "b": 1}),
+        ([iter(()), 2], [[], 2]),
+        ((x for x in [1, {"x": ()}]), [1, {"x": []}]),
+        ({"a": iter([1, {"x": ()}])}, {"a": [1, {"x": []}]}),
+    ]
+    for obj, plain in shapes:
+        assert cli._json_text(obj) == _stdlib_json(plain)
+
+
+def test_json_memo_tells_apart_records_made_and_freed_while_encoding():
+    # each record is freed once written, so the next one may take its id;
+    # the memo must not hand that id the freed record's text
+    def records(n):
+        return (AttemptRecord(i, i % 2, i // 2 % 2, i % 3 == 0, i / 7) for i in range(n))
+
+    n = cli.JSON_MEMO + 50  # past the point where the memo lets go of what it holds
+    ds = [vars(r) for r in records(n)]
+    shapes = [
+        (records(n), ds),
+        ({"trials": records(n)}, {"trials": ds}),
+        (([r, r] for r in records(n)), [[d, d] for d in ds]),
+        ({"t": ({"log": (r,)} for r in records(n))}, {"t": [{"log": [d]} for d in ds]}),
+    ]
+    # the texts run to megabytes: name the shapes that differ, not the diff
+    wrong = [i for i, (obj, d) in enumerate(shapes) if cli._json_text(obj) != _stdlib_json(d)]
+    assert wrong == []
+
+
+def test_csv_chunks_are_lazy_and_at_most_one_block_long():
+    read = []
+
+    def rows():
+        for t in range(2 * cli.CSV_BLOCK + 5):
+            read.append(t)
+            yield t, t / 3, t % 2 == 0
+
+    header = ["t", "third", "even"]
+    chunks = cli._csv_chunks(header, rows())
+    assert isinstance(chunks, Iterator)
+    assert (next(chunks), read) == ("t,third,even\n", [])
+    first = next(chunks)
+    assert len(read) == cli.CSV_BLOCK  # the rest is not read yet
+    rest = list(chunks)
+    assert [c.count("\n") for c in (first, *rest)] == [cli.CSV_BLOCK] * 2 + [5]
+    assert "t,third,even\n" + first + "".join(rest) == cli._csv_text(header, list(rows()))
+    assert list(cli._csv_chunks(header, iter(()))) == ["t,third,even\n"]
+
+
 def test_egg_scan_outputs(capsys, tmp_path):
     code, out, _ = run(
         capsys, "egg-scan", "--samples", "41", "--out-dir", str(tmp_path)
@@ -691,6 +743,29 @@ def test_egg_scan_outputs(capsys, tmp_path):
     assert 0.178 < summary["beta_star"] < 0.188
     assert abs(summary["success_prob_at_beta_star"] - 0.1277) < 0.005
     assert "beta*" in out
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_egg_scan_memory_is_the_scan_s(capsys, tmp_path):
+    # the CSV is written a block of rows at a time, so the run needs no more
+    # memory than the scan itself: about 170 B a sample, against 660 B when
+    # the whole table was turned into tuples, lines and one string
+    samples, alpha = 80001, np.pi / 16
+    assert cli.main(["egg-scan", "--samples", "11", "--out-dir", str(tmp_path)]) == 0
+    scan = _traced_peak(egg.phi_scan, alpha, (0.0, alpha), samples)
+    argv = ["egg-scan", "--samples", str(samples), "--out-dir", str(tmp_path)]
+    run = _traced_peak(cli.main, argv)
+    assert len((tmp_path / "egg-scan.csv").read_text().splitlines()) == samples + 1
+    assert run < scan + 2**20, (run, scan)
+    capsys.readouterr()
 
 
 # sha256 of egg-scan.csv and egg-scan.json, taken from the per-point scan
@@ -842,6 +917,37 @@ def test_failed_write_keeps_a_made_directory_that_is_not_empty(capsys, tmp_path,
     assert (code, json.loads(err)["error"]) == (4, "IOError")
     assert [p.name for p in tmp_path.iterdir()] == ["made"]
     assert [p.name for p in (tmp_path / "made").iterdir()] == ["other.txt"]
+
+
+class _Unwritable:
+    """A cell whose float conversion fails, as the CSV format asks for it."""
+
+    def __init__(self, calls: list):
+        self.calls = calls
+
+    def __float__(self):
+        self.calls.append(self)
+        raise ValueError("this cell cannot be written")
+
+
+def test_failing_in_the_csv_write_leaves_no_file(capsys, tmp_path, monkeypatch):
+    # the bad row sits in the second block of lines, after the first was written
+    trials, calls = cli.CSV_BLOCK + 20, []
+
+    def one_bad(register, cfg, seed, n):
+        results = ensemble(register, cfg, seed, n)
+        results[cli.CSV_BLOCK + 10] = dataclasses.replace(
+            results[cli.CSV_BLOCK + 10], residual_bound=_Unwritable(calls)
+        )
+        return results
+
+    ensemble = cli.measurement_ensemble
+    monkeypatch.setattr(cli, "measurement_ensemble", one_bad)
+    out_dir = tmp_path / "fd" / "new" / "sub"
+    code, out, err = run(capsys, "measure", "--trials", str(trials), "--out-dir", str(out_dir))
+    assert (code, out, len(calls)) == (2, "", 1)
+    assert json.loads(err)["error"] == "ArgumentError"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_measure_defaults(capsys, tmp_path):

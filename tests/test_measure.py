@@ -425,6 +425,30 @@ def test_plan_is_built_once_per_register_and_shared_read_only():
             array[0] = 0.0
 
 
+def test_long_chains_build_each_block_once(monkeypatch):
+    # n = 59914 rounds take 15 blocks; chains on |0> read them all, in order
+    cfg = MeasureConfig(theta=0.02, epsilon=0.05)
+    assert cfg.n_steps == 59914
+    built = {}
+    block = measure._Plan.__wrapped__.block
+
+    def kept(self, start):
+        p0, p1 = block(self, start)
+        built.setdefault(start, []).append(p1)
+        return p0, p1
+
+    monkeypatch.setattr(measure._Plan.__wrapped__, "block", kept)
+    measure._Plan.cache_clear()
+    results = [run_measurement(basis_state(0), cfg, derive_rng(0, t)) for t in range(50)]
+    assert {(r.label, r.steps_used) for r in results} == {(0, cfg.n_steps)}
+    assert sorted(built) == list(range(0, cfg.n_steps, 4096))
+    # block 0 is read from the plan itself; every later read returns the one p1 built
+    assert [len(p1s) for p1s in built.values()] == [1] + [50] * 14
+    for p1s in built.values():
+        assert all(p1 is p1s[0] for p1 in p1s)
+        assert not p1s[0].flags.writeable
+
+
 @pytest.mark.parametrize(
     "register",
     [np.array([np.nan, 1.0]), np.array([1.0, 1.0]), np.array([1.0, 0.0, 0.0])],
