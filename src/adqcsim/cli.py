@@ -11,17 +11,20 @@ text; :func:`main` then writes the artifacts as ``<subcommand>.<suffix>``
 under --out-dir with a manifest beside them recording the subcommand, its
 parameters (--seed among them, --out-dir relative to the working
 directory), the package version and the output names, and only then
-prints.  Every CSV and JSON artifact is a lazy chunk stream, encoded as it
-is written (:func:`_csv_chunks`, :func:`_json_chunks`), so no table is held
-whole as text.  All files go to temporaries first and are renamed into place
-together, so a failed run, in the computation, encoding or writing, leaves no file, and
+prints.  A CSV is encoded a block of rows at a time as it is written
+(:func:`_csv_chunks`), and egg-rus's log a trial at a time
+(:func:`_rus_chunks`), so no table is held whole as text; every other JSON
+file is a summary of a few kB, written as one string by :func:`_json_text`.
+All files go to temporaries first and are renamed into place together, so a
+failed run, in the computation, encoding or writing, leaves no file, and
 re-running the same manifest reproduces the files byte for byte.
 classify and kraus print JSON and write it only under an explicit
 --out-dir; the other four print one summary line and always write, into
 the current directory by default.
 
 Exit codes: 0 success, 2 argument error, 3 numeric failure (for example no
-balanced operating point in the requested range), 4 I/O failure.
+balanced operating point in the requested range, or an artifact value that
+cannot be encoded, such as a NaN in strict JSON), 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -33,8 +36,7 @@ import json
 import os
 import re
 import sys
-from collections.abc import Iterable, Iterator
-from dataclasses import fields
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -74,8 +76,7 @@ EXIT_NUMERIC = 3
 EXIT_IO = 4
 
 CLI_CLASS_TOL = 1e-6
-CSV_BLOCK = 4096  # lines per CSV chunk, and record-array rows per tolist()
-JSON_MEMO = 4096  # dataclasses whose text the JSON encoder keeps at once
+CSV_BLOCK = 1024  # lines per CSV chunk, and record-array rows per tolist()
 
 # kraus flags with their defaults, and the flags each preset does not read;
 # kraus rejects any other value of an unread flag, so that a contradictory
@@ -107,70 +108,37 @@ class NoHits(ValueError):
     """A walk ensemble without a single hit has no histogram to plot."""
 
 
+class EncodingError(ValueError):
+    """An artifact holds a value that its format cannot encode."""
+
+
 def _json_text(obj) -> str:
     """``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)`` and a newline."""
-    return "".join(_json_chunks(obj))
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _json_chunks(obj) -> Iterator[str]:
-    """:func:`_json_text` as lazy chunks, one per element of its top two levels.
+def _rus_chunks(summary: dict, trials) -> Iterator[str]:
+    """egg-rus's log, ``summary`` with ``"trials"``, as :func:`_json_text` writes it.
 
-    An iterator at those levels is written as a JSON array while it is drawn.
-    The C encoder has no ``indent``, so lists, tuples, str-keyed dicts (by a
-    ``%``-template per key order and depth) and dataclasses (their fields,
-    memoised by id and depth) are written here.  The memo holds every
-    dataclass it has text for, so no id in it can pass to a new object, and
-    it is emptied at JSON_MEMO of them, so lazily made records are not all kept.
+    The summary head ("trials" sorts after every summary key), then trial t as
+    the stdlib writes ``{"trial": t, **fields}``, a chunk each, then the tail.
+    Each record's text is made once per call and kept by ``id``: safe, because
+    ``trials``, a list, holds every record until the generator ends.
     """
-    scalar = json.JSONEncoder(allow_nan=False).encode  # C encoder, exact for scalars
-    plain = {int: int.__repr__, bool: {True: "true", False: "false"}.get}
-    plain.update(dict.fromkeys((str, float, type(None)), scalar))
-    templates, memo, held = {}, {}, []  # by (depth, *keys in order); by depth, then id
+    head, tail = _json_text({**summary, "trials": [None]}).rsplit("null", 1)
+    texts: dict[int, str] = {}
+    trial = ('%s{\n      "attempts": %d,\n      "log": [\n        %s\n      ],'
+             '\n      "success": %s,\n      "trial": %d\n    }')
 
-    def pairs(x) -> Iterable | None:
-        """(key head, value) per element of a list, tuple, iterator or str-keyed dict."""
-        if isinstance(x, dict) and all(isinstance(k, str) for k in x):
-            return [(f"{scalar(k)}: ", v) for k, v in sorted(x.items())]
-        return (("", v) for v in x) if isinstance(x, (list, tuple, Iterator)) else None
+    def record(rec) -> str:
+        texts[id(rec)] = text = _json_text(vars(rec))[:-1].replace("\n", "\n" + " " * 8)
+        return text
 
-    def enc(x, pad: str) -> str:
-        if type(x) in plain:
-            return plain[type(x)](x)
-        inner = pad + "  "
-        if isinstance(x, (list, tuple)) and x:
-            done = memo.setdefault(len(inner), {})
-            parts = [done.get(id(v)) or enc(v, inner) for v in x]
-            return f"[\n{inner}" + f",\n{inner}".join(parts) + f"\n{pad}]"
-        if isinstance(x, dict) and x:
-            shape = (len(pad), *x)
-            if shape not in templates:  # falsy for other keys, which json.dumps writes
-                heads = [h.replace("%", "%%") + "%s" for h, _ in pairs(x) or ()]
-                body = f"{{\n{inner}" + f",\n{inner}".join(heads) + f"\n{pad}}}"
-                templates[shape] = heads and (body, sorted(x))
-            if t := templates[shape]:
-                return t[0] % tuple([enc(x[k], inner) for k in t[1]])
-        if hasattr(type(x), "__dataclass_fields__"):  # a list reads the memo first
-            text = enc({f.name: getattr(x, f.name) for f in fields(x)}, pad)
-            if len(held) == JSON_MEMO:  # a held object keeps its id: drop them all at once
-                for kept in (held, *memo.values()):
-                    kept.clear()
-            held.append(x)
-            memo.setdefault(len(pad), {})[id(x)] = text
-            return text
-        # RFC 8259 has no NaN or Infinity; a JSON string holds no raw newline
-        dump = json.dumps(x, indent=2, sort_keys=True, allow_nan=False)
-        return dump.replace("\n", "\n" + pad)
-
-    def stream(x, pad: str, levels: int) -> Iterator[str]:
-        items, i = pairs(x) if levels else None, 0
-        ends = "{}" if isinstance(x, dict) else "[]"
-        for i, (head, v) in enumerate(items or (), 1):
-            yield (",\n" if i > 1 else ends[0] + "\n") + pad + "  " + head
-            yield from stream(v, pad + "  ", levels - 1)
-        yield enc(x, pad) if items is None else ("\n" + pad + ends[1] if i else ends)
-
-    yield from stream(obj, "", 2)
-    yield "\n"
+    yield head
+    for t, r in enumerate(trials):
+        log = ",\n        ".join([texts.get(id(rec)) or record(rec) for rec in r.log])
+        yield trial % (",\n    " if t else "", r.attempts, log, str(r.success).lower(), t)
+    yield tail
 
 
 def _complex_matrix(m: np.ndarray) -> list:
@@ -206,26 +174,27 @@ def _tables(args: argparse.Namespace, header, rows, summary: dict) -> dict:
     if args.format in ("csv", "both"):
         files["csv"] = _csv_chunks(header, rows)
     if args.format in ("json", "both"):
-        files["json"] = _json_chunks(summary)
+        files["json"] = map(_json_text, [summary])  # encoded as it is written
     return files
 
 
 def _echo(args: argparse.Namespace, payload: dict) -> tuple[dict, str]:
     """Print ``payload``; write it as a file only under an explicit --out-dir."""
     text = _json_text(payload)
-    return ({"json": text} if args.out_dir is not None else {}), text
+    return ({"json": [text]} if args.out_dir is not None else {}), text
 
 
 def _write_outputs(args: argparse.Namespace, files: dict) -> None:
     """Write each artifact as ``<subcommand>.<suffix>`` and the manifest, all or none.
 
-    Each file goes to a hidden temporary in --out-dir, chunk by chunk as a
-    lazy iterable makes them; the temporaries are renamed into place once all
-    are written.  If any step fails, encoding too, every temporary and every
-    file already renamed is removed before the error propagates, and then each
-    directory that this call made, deepest first, if it is empty.
+    Each artifact is an iterable of text chunks, written to a hidden temporary
+    in --out-dir as it makes them; the temporaries are renamed into place once
+    all are written.  If any step fails, every temporary and every file
+    already renamed is removed, then each directory that this call made,
+    deepest first, if it is empty, and the error propagates: a ValueError met
+    while encoding as :class:`EncodingError`.
     """
-    named = {f"{args.command}.{suffix}": text for suffix, text in files.items()}
+    named = {f"{args.command}.{suffix}": chunks for suffix, chunks in files.items()}
     parameters = {k: v for k, v in vars(args).items() if k != "func"}
     # relative, so that the manifest does not depend on where the run sits
     out_dir = "." if args.out_dir is None else args.out_dir
@@ -236,7 +205,7 @@ def _write_outputs(args: argparse.Namespace, files: dict) -> None:
         "version": __version__,
         "outputs": sorted(named),
     }
-    named[f"{args.command}_manifest.json"] = _json_chunks(manifest)
+    named[f"{args.command}_manifest.json"] = map(_json_text, [manifest])
     out_dir = Path(out_dir)
     made: list[Path] = []  # directories made here, shallowest first
     written: list[Path] = []  # per file: its temporary, then its target once renamed
@@ -245,10 +214,13 @@ def _write_outputs(args: argparse.Namespace, files: dict) -> None:
             with contextlib.suppress(FileExistsError):
                 path.mkdir()
                 made.append(path)
-        for name, text in named.items():
+        for name, chunks in named.items():
             with open(out_dir / f".{name}.{os.getpid()}.tmp", "x", newline="\n") as fh:
                 written.append(Path(fh.name))
-                fh.writelines([text] if isinstance(text, str) else text)
+                try:
+                    fh.writelines(chunks)
+                except ValueError as exc:  # a value, not an argument, is at fault
+                    raise EncodingError(f"{name}: {exc}") from exc
         for i, name in enumerate(named):
             os.replace(written[i], out_dir / name)
             written[i] = out_dir / name
@@ -262,7 +234,7 @@ def _write_outputs(args: argparse.Namespace, files: dict) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each returns (artifacts by suffix, stdout text)
+# subcommands: each returns (artifacts by suffix, as chunk iterables; stdout text)
 
 
 def _cmd_classify(args: argparse.Namespace) -> tuple[dict, str]:
@@ -363,7 +335,7 @@ def _cmd_walk(args: argparse.Namespace) -> tuple[dict, str]:
         summary,
     )
     if args.svg:
-        files["svg"] = histogram_svg(hist, rate, title=f"walk {args.preset}")
+        files["svg"] = [histogram_svg(hist, rate, title=f"walk {args.preset}")]
     mean = f", mean steps {summary['mean_steps']:.1f}" if steps else ""
     return files, f"walk: {len(steps)}/{args.trials} hits{mean}\n"
 
@@ -395,18 +367,16 @@ def _cmd_egg_rus(args: argparse.Namespace) -> tuple[dict, str]:
         run_rus(args.alpha, derive_rng(args.seed, t), args.max_attempts)
         for t in range(args.trials)
     ]
-    payload = {
+    summary = {
         "alpha": args.alpha,
         "beta": beta,
         "analytic_success_prob": success_probability(args.alpha, beta),
         "mean_attempts": float(np.mean([r.attempts for r in trials])),
         "all_succeeded": all(r.success for r in trials),
-        # the JSON keys are the field names of RusResult and AttemptRecord
-        "trials": ({"trial": t, **vars(r)} for t, r in enumerate(trials)),
     }
-    return {"json": _json_chunks(payload)}, (
-        f"egg-rus: mean attempts {payload['mean_attempts']:.2f} "
-        f"(analytic {1 / payload['analytic_success_prob']:.2f})\n"
+    return {"json": _rus_chunks(summary, trials)}, (
+        f"egg-rus: mean attempts {summary['mean_attempts']:.2f} "
+        f"(analytic {1 / summary['analytic_success_prob']:.2f})\n"
     )
 
 
@@ -546,7 +516,7 @@ def main(argv: list[str] | None = None) -> int:
         files, text = args.func(args)
         if files:
             _write_outputs(args, files)
-    except (EggError, NoHits) as exc:
+    except (EggError, NoHits, EncodingError) as exc:
         sys.stderr.write(
             _json_text({"error": type(exc).__name__, "message": str(exc)})
         )

@@ -54,6 +54,7 @@ COLLINEAR_TOL = 1e-12
 SCAN_SAMPLES = 512
 BALANCE_TOL = 1e-10
 RUS_BLOCK = 32
+SCAN_BLOCK = 4096
 
 
 class EggError(ValueError):
@@ -385,7 +386,7 @@ def phi_scan(
     ``rows[k].beta``, a column ``rows.beta``.  ``phi_plus``/``phi_minus``
     are the wrapped entangling phases of the two outcomes; ``delta_phi`` is
     the continuous (unwrapped) difference so the pi crossing is visible.
-    :func:`_scan_columns` computes every column over the whole grid at once;
+    :func:`_scan_columns` computes every column ``SCAN_BLOCK`` betas at a time;
     the per-point functions are its one-beta case, so they agree bit for
     bit.  The trap is squaring: an array's ``** 2`` is ``np.square`` (x * x),
     a numpy scalar's is C ``pow(x, 2)``, and they (and ``np.power`` with an
@@ -397,8 +398,12 @@ def phi_scan(
         raise ValueError("samples must be >= 1")
     if not 0.0 <= lo <= hi <= alpha + 1e-15:
         raise ValueError("beta range must satisfy 0 <= lo <= hi <= alpha")
-    beta = np.linspace(lo, hi, samples)
-    return np.rec.fromarrays([beta, *_scan_columns(alpha, beta)], names=SCAN_COLUMNS)
+    rows = np.recarray(samples, dtype=[(name, float) for name in SCAN_COLUMNS])
+    rows.beta = np.linspace(lo, hi, samples)
+    for block in np.split(rows, range(SCAN_BLOCK, samples, SCAN_BLOCK)):  # views, filled in place
+        for name, column in zip(SCAN_COLUMNS[1:], _scan_columns(alpha, block.beta)):
+            block[name] = column
+    return rows
 
 
 def find_balanced_beta(alpha: float, beta_max: float | None = None) -> float:
@@ -509,18 +514,18 @@ def run_rus(
     if max_attempts < 1:
         raise ValueError("max_attempts must be >= 1")
     _, (p0, p1), phases, records = _rus_setup(alpha)
+    check = min(p0, p1) < BRANCH_TOL
     log: list[AttemptRecord] = []
     for start in range(0, max_attempts, RUS_BLOCK):
-        ones = (rng.random(2 * min(RUS_BLOCK, max_attempts - start)) >= p0).view(np.int8)
-        codes = (2 * ones[0::2] + ones[1::2]).tolist()  # attempt i's pair c = 2 m1 + m2
-        won = [codes.index(c) for c in (1, 2) if c in codes]
-        k = min(won) + 1 if won else len(codes)
-        for m in set(ones[: 2 * k].tolist()) if min(p0, p1) < BRANCH_TOL else ():
-            sample_outcome(p0, p1, forced=m)  # raises for an impossible branch
-        while len(records) < 4 * (start + k):
-            j, c = divmod(len(records), 4)
-            records.append(AttemptRecord(j + 1, c // 2, c % 2, c in (1, 2), phases[c]))
-        log += [records[4 * j + c] for j, c in enumerate(codes[:k], start)]
-        if won:
-            return RusResult(start + k, True, tuple(log))
+        draws = iter(rng.random(2 * min(RUS_BLOCK, max_attempts - start)).tolist())
+        for j, (d1, d2) in enumerate(zip(draws, draws), start):
+            c = 2 * (d1 >= p0) + (d2 >= p0)  # attempt j's pair c = 2 m1 + m2
+            for m in {c // 2, c % 2} if check else ():
+                sample_outcome(p0, p1, forced=m)  # raises for an impossible branch
+            while len(records) < 4 * (j + 1):
+                i, b = divmod(len(records), 4)
+                records.append(AttemptRecord(i + 1, b // 2, b % 2, b in (1, 2), phases[b]))
+            log.append(records[4 * j + c])
+            if c == 1 or c == 2:
+                return RusResult(j + 1, True, tuple(log))
     return RusResult(max_attempts, False, tuple(log))

@@ -21,7 +21,8 @@ from hypothesis import strategies as st
 
 import adqcsim
 from adqcsim import cli, egg
-from adqcsim.egg import AttemptRecord
+from adqcsim.egg import AttemptRecord, RusResult
+from adqcsim.seeding import derive_rng
 from adqcsim.sqwalk import WALK_PRESETS, walk_config
 
 from oracle import csv_cell
@@ -517,7 +518,6 @@ def _stdlib_json(obj) -> str:
 
 
 def test_json_output_is_strict():
-    record = AttemptRecord(1, 0, 0, False, float("nan"))
     for depth in range(5):
         for bad in (float("nan"), float("inf"), -float("inf"), np.float64("nan")):
             for obj in ({"value": _nest(bad, depth)}, _nest({bad: 1}, depth)):
@@ -525,14 +525,22 @@ def test_json_output_is_strict():
                     _stdlib_json(obj)
                 with pytest.raises(ValueError):
                     cli._json_text(obj)
-        with pytest.raises(ValueError):
-            cli._json_text(_nest(record, depth))
         # types the stdlib does not encode, as values and as keys
         for obj in (_nest(np.int64(3), depth), _nest({(1, 2): 0}, depth), _nest({1j: 0}, depth)):
             with pytest.raises(TypeError):
                 _stdlib_json(obj)
             with pytest.raises(TypeError):
                 cli._json_text(obj)
+    # records go through egg-rus's writer: a bad phase in any log, or in the summary, raises
+    ok = AttemptRecord(1, 0, 1, True, np.pi)
+    for bad in (float("nan"), float("inf"), -float("inf"), np.float64("nan")):
+        rec = AttemptRecord(2, 1, 0, True, bad)
+        for trials in ([RusResult(1, True, (rec,))], [RusResult(1, True, (ok,))] * 3
+                       + [RusResult(2, True, (AttemptRecord(1, 0, 0, False, 0.0), rec))]):
+            with pytest.raises(ValueError):
+                "".join(cli._rus_chunks(_RUS_SUMMARY, trials))
+        with pytest.raises(ValueError):
+            "".join(cli._rus_chunks({**_RUS_SUMMARY, "beta": bad}, [RusResult(1, True, (ok,))]))
 
 
 _JSON_KEYS = st.one_of(
@@ -592,118 +600,123 @@ def test_csv_text_is_the_cell_rule(data):
     assert cli._csv_text(header, rows) == "\n".join(lines) + "\n"
 
 
-def test_json_text_encodes_a_shared_record_at_each_depth():
-    rec = AttemptRecord(2, 1, 0, True, -np.pi)
-    other = AttemptRecord(1, 1, 1, False, 0.0)
-    obj = {"a": rec, "b": [rec, {"c": (other, rec)}], "d": []}
-    plain = {"a": vars(rec), "b": [vars(rec), {"c": (vars(other), vars(rec))}], "d": []}
-    assert cli._json_text(obj) == _stdlib_json(plain)
-    assert cli._json_text(rec) == _stdlib_json(vars(rec))
-
-
 def test_json_text_writes_non_str_keys_as_the_stdlib_does():
     numbered = {2: [1.5, {"a": None}], -3: {}, 0.5: {False: "x"}, 10**20: ()}
     for obj in (numbered, [{"n": numbered}], {"k": [{None: [numbered]}]}):
         assert cli._json_text(obj) == _stdlib_json(obj)
 
 
-def _plain(x):
-    """``x`` with each dataclass replaced by its field dict, as the stdlib reads it."""
-    if isinstance(x, AttemptRecord):
-        return vars(x)
-    if isinstance(x, dict):
-        return {k: _plain(v) for k, v in x.items()}
-    return [_plain(v) for v in x] if isinstance(x, (list, tuple)) else x
-
-
-# dicts that repeat one key set, in every insertion order and at several
-# depths, so that each template is reused; the keys hold "%" as a template
-# would read it, beside empty dicts, int-keyed dicts and shared records
-_RECORDS = [AttemptRecord(1, 0, 0, False, -0.0), AttemptRecord(3, 1, 0, True, np.pi)]
-_TEMPLATE_KEYS = st.lists(
-    st.sampled_from(["%", "%s", "%%d", "", "%(a)s", "a"]) | _JSON_KEYS,
-    min_size=1, max_size=4, unique=True,
+_RUS_SUMMARY = {
+    "alpha": np.pi / 16,
+    "beta": 0.18,
+    "analytic_success_prob": 0.13,
+    "mean_attempts": 7.5,
+    "all_succeeded": False,
+}
+_PHASES = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, np.pi, -np.pi, 5e-324, np.float64(np.pi)]
+)
+_ATTEMPT_RECORDS = st.builds(
+    AttemptRecord, st.integers(1, 2000), st.integers(0, 1), st.integers(0, 1), st.booleans(),
+    _PHASES,
 )
 
 
 @st.composite
-def _shaped_trees(draw):
-    keys = draw(_TEMPLATE_KEYS)
-
-    def shaped(inner):
-        return st.permutations(keys).flatmap(
-            lambda order: st.tuples(*[inner] * len(order)).map(lambda v: dict(zip(order, v)))
-        )
-
-    leaves = st.one_of(
-        _JSON_LEAVES,
-        st.sampled_from(_RECORDS),
-        st.just({}),
-        st.dictionaries(st.integers(-3, 3), _JSON_LEAVES, max_size=3),
+def _rus_runs(draw):
+    """Lists of RusResult: kernel runs, successes and exhausted ones, and hand-made
+    runs whose logs share records across trials or make a record afresh."""
+    pool = draw(st.lists(_ATTEMPT_RECORDS, min_size=1, max_size=5))
+    log = st.lists(st.sampled_from(pool) | _ATTEMPT_RECORDS, min_size=1, max_size=6)
+    made = st.builds(lambda log, won: RusResult(len(log), won, tuple(log)), log, st.booleans())
+    kernel = st.builds(
+        lambda t, max_attempts: egg.run_rus(np.pi / 16, derive_rng(3, t), max_attempts),
+        st.integers(0, 200), st.sampled_from([1, 3, 1000]),
     )
-    return draw(st.recursive(
-        leaves,
-        lambda inner: st.one_of(
-            shaped(inner),
-            st.lists(shaped(inner), min_size=2, max_size=4),
-            st.lists(inner, max_size=4).map(tuple),
-            st.dictionaries(_JSON_KEYS, inner, max_size=3),
-        ),
-        max_leaves=30,
-    ))
+    return draw(st.lists(made | kernel, min_size=1, max_size=8))
 
 
-@settings(max_examples=300, deadline=None)
-@given(_shaped_trees())
-def test_json_templates_are_the_stdlib_indented_dump(tree):
-    assert cli._json_text(tree) == _stdlib_json(_plain(tree))
+def _rus_plain(summary: dict, trials) -> dict:
+    """egg-rus's log as plain data, the way the stdlib reads it."""
+    return {
+        **summary,
+        "trials": [
+            {"trial": t, **vars(r), "log": [vars(rec) for rec in r.log]}
+            for t, r in enumerate(trials)
+        ],
+    }
 
 
-def test_json_chunks_are_lazy_and_at_most_one_trial_long():
-    args = cli.build_parser().parse_args(["egg-rus", "--trials", "500", "--seed", "2"])
-    chunks = args.func(args)[0]["json"]
-    assert isinstance(chunks, Iterator)
-    chunks = list(chunks)
-    payload = json.loads("".join(chunks))
-    assert "".join(chunks) == _stdlib_json(payload)
-    # a trial as it stands in the file, its lines indented by 4
-    longest = max(
-        len(json.dumps(t, indent=2, sort_keys=True).replace("\n", "\n    "))
-        for t in payload["trials"]
-    )
-    assert len(chunks) > 500
-    assert max(map(len, chunks)) <= longest
+@settings(max_examples=200, deadline=None)
+@given(
+    st.fixed_dictionaries({k: _PHASES for k in _RUS_SUMMARY if k != "all_succeeded"}),
+    st.booleans(),
+    _rus_runs(),
+)
+def test_rus_chunks_are_the_stdlib_indented_dump(summary, all_succeeded, trials):
+    summary["all_succeeded"] = all_succeeded
+    text = "".join(cli._rus_chunks(summary, trials))
+    assert text == _stdlib_json(_rus_plain(summary, trials))
 
 
-def test_json_iterators_are_arrays_and_an_empty_one_is_empty():
-    assert cli._json_text(iter(())) == "[]\n"
-    shapes = [
-        ({"a": iter([]), "b": 1}, {"a": [], "b": 1}),
-        ([iter(()), 2], [[], 2]),
-        ((x for x in [1, {"x": ()}]), [1, {"x": []}]),
-        ({"a": iter([1, {"x": ()}])}, {"a": [1, {"x": []}]}),
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_rus_chunks_are_lazy_and_one_trial_long():
+    args = cli.build_parser().parse_args(["egg-rus", "--trials", "5"])
+    assert isinstance(args.func(args)[0]["json"], Iterator)
+    # results holds every record, as egg-rus's list of trials does
+    results = [egg.run_rus(np.pi / 16, derive_rng(2, t)) for t in range(500)]
+    read = []
+
+    def reading():
+        for r in results:
+            read.append(r)
+            yield r
+
+    chunks = cli._rus_chunks(_RUS_SUMMARY, reading())
+    head = next(chunks)
+    assert read == []
+    first = next(chunks)
+    assert len(read) == 1  # the second trial is not read yet
+    chunks = [head, first, *chunks]
+    text = "".join(chunks)
+    assert _sha(text) == _sha(_stdlib_json(_rus_plain(_RUS_SUMMARY, results)))
+    # each chunk between head and tail is one trial as it stands in the file,
+    # its lines indented by 4, after the separator from the one before it
+    trials = [
+        json.dumps(t, indent=2, sort_keys=True).replace("\n", "\n    ")
+        for t in _rus_plain(_RUS_SUMMARY, results)["trials"]
     ]
-    for obj, plain in shapes:
-        assert cli._json_text(obj) == _stdlib_json(plain)
+    assert [len(c) for c in chunks[1:-1]] == [len(t) + 6 * (i > 0) for i, t in enumerate(trials)]
+    assert max(len(chunks[0]), len(chunks[-1])) < min(map(len, trials))
 
 
-def test_json_memo_tells_apart_records_made_and_freed_while_encoding():
-    # each record is freed once written, so the next one may take its id;
-    # the memo must not hand that id the freed record's text
-    def records(n):
-        return (AttemptRecord(i, i % 2, i // 2 % 2, i % 3 == 0, i / 7) for i in range(n))
-
-    n = cli.JSON_MEMO + 50  # past the point where the memo lets go of what it holds
-    ds = [vars(r) for r in records(n)]
-    shapes = [
-        (records(n), ds),
-        ({"trials": records(n)}, {"trials": ds}),
-        (([r, r] for r in records(n)), [[d, d] for d in ds]),
-        ({"t": ({"log": (r,)} for r in records(n))}, {"t": [{"log": [d]} for d in ds]}),
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", "0.3", "0.2", "0.1"),
+        ("kraus", "--preset", "weak"),
+        ("walk", "--trials", "20", "--epsilon", "0.3", "--svg"),
+        ("egg-scan", "--samples", "11"),
+        ("measure", "--trials", "50"),
+        ("egg-rus", "--trials", "200", "--max-attempts", "3"),
+    ],
+)
+def test_every_json_file_is_the_stdlib_dump_of_itself(capsys, tmp_path, argv):
+    code, _, _ = run(capsys, *argv, "--out-dir", str(tmp_path))
+    assert code == 0
+    paths = sorted(tmp_path.glob("*.json"))
+    assert [p.name for p in paths if p.name.endswith("_manifest.json")] == [
+        f"{argv[0]}_manifest.json"
     ]
-    # the texts run to megabytes: name the shapes that differ, not the diff
-    wrong = [i for i, (obj, d) in enumerate(shapes) if cli._json_text(obj) != _stdlib_json(d)]
-    assert wrong == []
+    assert len(paths) == 2
+    for path in paths:
+        text = path.read_text()
+        assert _sha(text) == _sha(_stdlib_json(json.loads(text))), path.name
+    if argv[0] == "egg-rus":  # some runs used up their attempts
+        assert json.loads(paths[0].read_text())["all_succeeded"] is False
 
 
 def test_csv_chunks_are_lazy_and_at_most_one_block_long():
@@ -766,6 +779,14 @@ def test_egg_scan_memory_is_the_scan_s(capsys, tmp_path):
     assert len((tmp_path / "egg-scan.csv").read_text().splitlines()) == samples + 1
     assert run < scan + 2**20, (run, scan)
     capsys.readouterr()
+
+
+def test_phi_scan_peaks_near_its_record_array():
+    # 56 B a sample are the seven float columns it returns; beta's linspace
+    # and one block of column temporaries are all it holds beside them
+    samples = 80001
+    peak = _traced_peak(egg.phi_scan, np.pi / 16, (0.0, np.pi / 16), samples)
+    assert peak <= 75 * samples, peak / samples
 
 
 # sha256 of egg-scan.csv and egg-scan.json, taken from the per-point scan
@@ -887,8 +908,8 @@ def _egg_rus_failing_in_the_write(capsys, monkeypatch, out_dir: Path) -> None:
     run_rus = cli.run_rus
     monkeypatch.setattr(cli, "run_rus", last_is_nan)
     code, out, err = run(capsys, "egg-rus", "--trials", "50", "--out-dir", str(out_dir))
-    assert (code, out, len(calls)) == (2, "", 50)
-    assert json.loads(err)["error"] == "ArgumentError"
+    assert (code, out, len(calls)) == (3, "", 50)
+    assert json.loads(err)["error"] == "EncodingError"
 
 
 def test_egg_rus_failing_in_the_write_leaves_no_file(capsys, tmp_path, monkeypatch):
@@ -945,8 +966,8 @@ def test_failing_in_the_csv_write_leaves_no_file(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "measurement_ensemble", one_bad)
     out_dir = tmp_path / "fd" / "new" / "sub"
     code, out, err = run(capsys, "measure", "--trials", str(trials), "--out-dir", str(out_dir))
-    assert (code, out, len(calls)) == (2, "", 1)
-    assert json.loads(err)["error"] == "ArgumentError"
+    assert (code, out, len(calls)) == (3, "", 1)
+    assert json.loads(err)["error"] == "EncodingError"
     assert list(tmp_path.iterdir()) == []
 
 
