@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import itertools
 import json
 import os
@@ -77,6 +78,7 @@ EXIT_IO = 4
 
 CLI_CLASS_TOL = 1e-6
 CSV_BLOCK = 1024  # lines per CSV chunk, and record-array rows per tolist()
+_parser = functools.cache(lambda: build_parser())  # main's one parser; build_parser stays fresh
 
 # kraus flags with their defaults, and the flags each preset does not read;
 # kraus rejects any other value of an unread flag, so that a contradictory
@@ -510,8 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         files, text = args.func(args)
         if files:

@@ -23,6 +23,9 @@ import numpy as np
 from .qmath import as_unitary, identity, pauli, tensor
 
 NONZERO_TOL = 1e-9
+_HALF_PI, _QUARTER_PI = np.pi / 2, np.pi / 4
+_SHIFT_MOVES = [f"shift a{n} by pi/2 multiples" for n in "xyz"]
+_REFLECT_MOVES = [f"reflect a{n} about pi/4" for n in "xyz"]
 
 
 @dataclass(frozen=True)
@@ -110,23 +113,22 @@ def normalize_params(
     if not all(map(math.isfinite, vals)):
         raise ValueError("interaction parameters must be finite")
     moves: list[str] = []
-    names = "xyz"
 
     for i, v in enumerate(vals):
         # shift by multiples of pi/2 into [0, pi/2)
-        shifted = v % (np.pi / 2)
+        shifted = v % _HALF_PI
         if abs(shifted - v) > NONZERO_TOL:
-            moves.append(f"shift a{names[i]} by pi/2 multiples")
+            moves.append(_SHIFT_MOVES[i])
             v = shifted
         # reflect about pi/4 into [0, pi/4]
-        if v > np.pi / 4:
-            moves.append(f"reflect a{names[i]} about pi/4")
-            v = np.pi / 2 - v
+        if v > _QUARTER_PI:
+            moves.append(_REFLECT_MOVES[i])
+            v = _HALF_PI - v
         vals[i] = v
 
     order = sorted(range(3), key=lambda i: -vals[i])
     if order != [0, 1, 2]:
-        moves.append("permute axes " + "".join(names[i] for i in order) + " -> xyz")
+        moves.append("permute axes " + "".join("xyz"[i] for i in order) + " -> xyz")
         vals = [vals[i] for i in order]
 
     vals = [0.0 if abs(v) < NONZERO_TOL else v for v in vals]

@@ -158,12 +158,12 @@ def program_deterministic(bits: str) -> np.ndarray:
     The first character is the first ancilla sent in, i.e. the rightmost
     factor of the product.
     """
-    if not bits or any(b not in "01" for b in bits):
+    if not bits or bits.strip("01"):
         raise ValueError("bits must be a non-empty string over {0, 1}")
     out = np.eye(2, dtype=complex)
     for b in bits:
-        out = (_GATES.u1 if b == "1" else _GATES.u0) @ out
+        out = _GATES[b].dot(out)  # the same product as @, bit for bit
     return out
 
 
-_GATES = deterministic_gate_set()  # built once; program_deterministic only reads it
+_GATES = {"0": deterministic_gate_set().u0, "1": deterministic_gate_set().u1}  # by bit; only read

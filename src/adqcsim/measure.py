@@ -27,9 +27,12 @@ it halts early, a longer one stops after the block that holds its click, and
 memory is bounded by the block, not by n.  A plan, cached per register (by
 its bytes), theta and n, holds the read-only p1_k of the first _KEPT_BLOCKS
 blocks it builds, so chains, which read blocks in order, build each of those
-once (p0_k = 1 - p1_k, exact, is redone per read), and, once a chain reads n
-zeros, the label-0 result: label-0 chains share its read-only post state, as
-label-1 chains share one read-only |1>.
+once (p0_k = 1 - p1_k, exact, is redone per read), and the results chains
+share: the label-0 one, with a read-only post state, once a chain reads n
+zeros, and the label-1 one of each click round up to 4096, with one
+read-only |1>, kept once its impossible-branch check, which depends only on
+the plan and the round, has passed.  Round 1's zero check also runs once per
+plan, and an impossible branch raises on every call.
 :func:`measurement_ensemble` runs trial t as one :func:`run_measurement` call
 on the stream ``derive_rng(seed, t)``.
 """
@@ -149,6 +152,8 @@ class _Plan:
         self.theta, self.n, self.a2, self.b2 = theta, n, *abs(psi) ** 2
         self.kept: dict[int, np.ndarray] = {}  # p1 by block start
         self.first = self.block(0)
+        self.ones: dict[int, MeasureResult] = {}  # checked label-1 results by k, round k + 1
+        self.zero_checked = False
 
     def block(self, start: int) -> tuple[np.ndarray, np.ndarray]:
         """Read-only p0_k and p1_k for rounds k = start .. start + m - 1."""
@@ -184,11 +189,16 @@ def run_measurement(
     for start in range(0, plan.n, _BLOCK):
         p0, p1 = plan.block(start) if start else plan.first
         hits = rng.random(p0.size) >= p0
-        if not (start or hits[0]):  # p0_k grows with k: round 1 is the lightest 0 taken
-            sample_outcome(p0[0], p1[0], forced=0)
+        if not (start or hits[0] or plan.zero_checked):  # p0_k grows with k: round 1
+            sample_outcome(p0[0], p1[0], forced=0)  # is the lightest 0 taken; checked once
+            plan.zero_checked = True
         if hits[k := int(hits.argmax())]:  # k is the first click, if there is one
-            sample_outcome(p0[k], p1[k], forced=1)
-            return MeasureResult(1, start + k + 1, _ONE, 0.0)
+            if (res := plan.ones.get(start + k)) is None:
+                sample_outcome(p0[k], p1[k], forced=1)
+                res = MeasureResult(1, start + k + 1, _ONE, 0.0)
+                if not start:  # kept once checked: at most min(n, _BLOCK) results
+                    plan.ones[k] = res
+            return res
     return plan.zero
 
 

@@ -5,8 +5,8 @@ chain's per-round operators, the per-branch Kraus extraction with LAPACK
 branch weights, the CLI's CSV cell rule, the Weyl coordinates of a
 two-qubit unitary, the determinant geometry of the plane through Bloch
 points with the closed form of its coplanarity defect, the egg scan's
-formulas point by point on numpy scalars, and the RNG contract's streams as
-numpy builds them.
+formulas point by point on numpy scalars, the RNG contract's streams as
+numpy builds them, and the Haar measure of the walk's target ball.
 """
 
 from __future__ import annotations
@@ -31,6 +31,18 @@ from adqcsim.qmath import (
 def seed_sequence_rng(seed: int, index: int) -> np.random.Generator:
     """Stream ``index`` of ``seed`` as the RNG contract defines it."""
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+
+
+def ball_measure(eps: float) -> float:
+    """Haar measure of the SU(2) ball |Re Tr(T^dag V)| / 2 >= 1 - eps^2 the walk hits.
+
+    V = T exp(i phi n.sigma) has half-trace cos(phi), and phi has the Haar
+    density (2 / pi) sin^2(phi) on [0, pi].  The ball is phi <= a or
+    phi >= pi - a with a = arccos(1 - eps^2), so its measure is twice
+    (2 / pi) (a / 2 - sin(2 a) / 4), which is about 1.20 eps^3 for small eps.
+    """
+    a = np.arccos(1.0 - eps * eps)
+    return float((2 * a - np.sin(2 * a)) / np.pi)
 
 
 def ry(theta: float) -> np.ndarray:

@@ -1069,6 +1069,53 @@ def test_failed_write_leaves_no_file(capsys, tmp_path):
     assert list((tmp_path / "walk.json").iterdir()) == []
 
 
+_EVERY_SUBCOMMAND = [
+    ["classify", "0.3", "0.2", "0.1"],
+    ["kraus", "--preset", "weak"],
+    ["walk", "--trials", "3", "--epsilon", "0.5", "--svg"],
+    ["egg-scan", "--samples", "5"],
+    ["egg-rus", "--trials", "3", "--seed", "4"],
+    ["measure", "--trials", "5", "--seed", "4"],
+]
+
+
+def test_main_parses_every_run_alike(capsys, tmp_path):
+    # main keeps one parser; no run, failed or not, may change what the next one does
+    def files(argv) -> tuple:
+        out_dir = tmp_path / argv[0]
+        code, out, err = run(capsys, *argv, "--out-dir", str(out_dir))
+        written = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        for p in out_dir.iterdir():
+            p.unlink()
+        return code, out, err, written
+
+    first = [files(argv) for argv in _EVERY_SUBCOMMAND]
+    assert [f[0] for f in first] == [0] * 6 and all(f[3] for f in first)
+    for argv, want in zip(_EVERY_SUBCOMMAND, first):
+        with pytest.raises(SystemExit) as exc:  # a parse error
+            cli.main([argv[0], "--no-such-flag"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert run(capsys, "measure", "--theta", "3.15", "--trials", "1")[0] == 2
+        assert files(argv) == want
+
+
+def test_build_parser_is_not_the_parser_main_keeps(capsys, tmp_path):
+    argv = ["--extra", "1", "classify", "0", "0", "0", "--out-dir", str(tmp_path)]
+    parser = cli.build_parser()
+    assert parser is not cli.build_parser()
+    parser.add_argument("--extra")
+    parser.set_defaults(seed=99)
+    assert vars(parser.parse_args(argv))["seed"] == 99
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+    assert run(capsys, *argv[2:])[0] == 0
+    manifest = json.loads((tmp_path / "classify_manifest.json").read_text())
+    assert "seed" not in manifest["parameters"] and "extra" not in manifest["parameters"]
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--version"])

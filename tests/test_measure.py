@@ -29,6 +29,7 @@ from adqcsim.qmath import (
     hadamard,
     haar_state,
     plus_state,
+    sample_outcome,
 )
 from adqcsim.seeding import derive_rng
 
@@ -423,6 +424,86 @@ def test_plan_is_built_once_per_register_and_shared_read_only():
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 0.0
+
+
+def test_label_one_chains_share_one_result_per_click_round():
+    measure._Plan.cache_clear()
+    results = measurement_ensemble(plus_state(), MeasureConfig(theta=THETA), 0, 500)
+    plan = measure._Plan(plus_state().tobytes(), THETA, 38)
+    ones = [r for r in results if r.label == 1]
+    assert len({r.steps_used for r in ones}) > 5
+    for r in ones:
+        assert r is plan.ones[r.steps_used - 1]
+        assert r.residual_bound == 0.0 and not r.post_state.flags.writeable
+        np.testing.assert_array_equal(r.post_state, basis_state(1))
+    with pytest.raises(ValueError):
+        ones[0].post_state[1] = 0.0
+
+
+def _click_draws(n: int, k: int) -> _Draws:
+    """Draws that read 0 at every round but round k + 1, which reads 1."""
+    return _Draws([0.0] * k + [np.nextafter(1.0, 0.0)] + [0.0] * (n - k - 1))
+
+
+def test_branch_checks_run_once_per_plan_and_click_round(monkeypatch):
+    checks = []
+
+    def counted(p0, p1, rng=None, forced=None):
+        checks.append((forced, p1 if forced else p0))
+        return sample_outcome(p0, p1, rng, forced)
+
+    monkeypatch.setattr(measure, "sample_outcome", counted)
+    cfg = MeasureConfig(theta=THETA)
+    measure._Plan.cache_clear()
+    for register in (plus_state(), np.array([0.6, 0.8j]), plus_state()):
+        results = measurement_ensemble(register, cfg, 0, 300)
+        measurement_ensemble(register, cfg, 1, 300)
+        assert {r.label for r in results} == {0, 1}
+    # per plan, one zero check and one check per click round seen, and no more
+    want = []
+    for register in (plus_state(), np.array([0.6, 0.8j])):
+        plan = measure._Plan(register.tobytes(), THETA, 38)
+        p0, p1 = plan.first
+        want += [(0, p0[0])] + [(1, p1[k]) for k in plan.ones]
+    assert len(want) > 10 and sorted(checks) == sorted(want)
+
+
+def test_plan_keeps_at_most_one_block_of_clicks():
+    measure._Plan.cache_clear()
+    cfg = MeasureConfig(theta=THETA)
+    plan = measure._Plan(plus_state().tobytes(), THETA, 38)
+    for _ in range(2):
+        got = [run_measurement(plus_state(), cfg, _click_draws(38, k)) for k in range(38)]
+        assert [r.steps_used for r in got] == list(range(1, 39))
+        assert len(plan.ones) == 38 and all(plan.ones[k] is r for k, r in enumerate(got))
+    # n = 9586: a click after round 4096 gets a result of its own, not kept
+    cfg = MeasureConfig(theta=0.05, epsilon=0.05)
+    clicks = (0, 1, 4095, 4096, 4097, 8191, 8192, 9585)
+    for _ in range(2):
+        got = [run_measurement(basis_state(1), cfg, _click_draws(9586, k)) for k in clicks]
+        assert [r.steps_used for r in got] == [k + 1 for k in clicks]
+    plan = measure._Plan(basis_state(1).tobytes(), 0.05, 9586)
+    assert sorted(plan.ones) == [0, 1, 4095]
+    again = run_measurement(basis_state(1), cfg, _click_draws(9586, 4096))
+    assert again.steps_used == 4097 and again is not got[3]
+
+
+def test_impossible_branch_raises_on_every_call():
+    # as in test_chain_refuses_impossible_branches_like_the_reference: round 1
+    # reads 0, then 1, at weight ~1e-15; a failed check keeps no result
+    nearly_one = np.array([np.sqrt(1e-15), np.sqrt(1 - 1e-15)])
+    nearly_zero = np.array([np.sqrt(1 - 2e-15), np.sqrt(2e-15)])
+    measure._Plan.cache_clear()
+    for register, theta, first in (
+        (nearly_one, np.pi, 0.0),
+        (nearly_zero, np.pi / 2, np.nextafter(1.0, 0.0)),
+    ):
+        cfg = MeasureConfig(theta=theta, epsilon=0.05)
+        for _ in range(2):
+            with pytest.raises(ImpossibleBranchError):
+                run_measurement(register, cfg, _Draws([first] + [0.5] * (cfg.n_steps - 1)))
+        plan = measure._Plan(register.astype(complex).tobytes(), theta, cfg.n_steps)
+        assert plan.ones == {} and not plan.zero_checked
 
 
 def test_long_chains_build_each_block_once(monkeypatch):

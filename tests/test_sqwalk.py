@@ -23,7 +23,7 @@ from adqcsim.sqwalk import (
     walk_config,
 )
 
-from oracle import ry
+from oracle import ball_measure, ry
 
 
 def test_one_parameter_gates():
@@ -214,6 +214,35 @@ def test_mean_steps_one_parameter():
     assert all(r.hit for r in results)
     mean = np.mean([r.steps for r in results])
     assert 5000 < mean < 11000
+
+
+def test_ball_measure_is_the_haar_volume():
+    # the share of Haar unitaries, reduced to SU(2), whose half-trace clears
+    # 1 - eps^2 in absolute value, within 4 binomial standard errors
+    rng = np.random.default_rng(31)
+    us = [haar_unitary(2, rng) for _ in range(20000)]
+    half = np.array([abs(np.trace(u / np.sqrt(np.linalg.det(u))).real) / 2 for u in us])
+    for eps in (0.3, 0.5, 0.7):
+        mu = ball_measure(eps)
+        assert abs(np.mean(half >= 1 - eps * eps) - mu) < 4 * np.sqrt(mu * (1 - mu) / half.size)
+    # small-eps law: (2a - sin 2a) / pi -> 4 (sqrt(2) eps)^3 / (3 pi)
+    assert ball_measure(1e-3) / 1e-9 == pytest.approx(8 * np.sqrt(2) / (3 * np.pi), rel=1e-5)
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.07])
+def test_two_param_hitting_tail_is_the_ball_measure(eps):
+    # Kac's lemma: an equidistributing walk leaves a ball of Haar measure mu
+    # at rate mu per step as eps -> 0, so the hitting time's tail is
+    # exponential with mean 1 / mu.  The tail is taken as the mean excess over
+    # the median, which skips the early hits of the short in-ball words.  Its
+    # sampling error over the 1500 walks above the median is about
+    # 1 / sqrt(1500) = 2.6 % of it, and seeds 0, 1, 2 and 11 read tail * mu
+    # from 0.98 to 1.07 at these eps; the band is 5 standard errors wide.
+    cfg = walk_config("two-param", epsilon=eps)
+    steps = np.array([r.steps for r in run_ensemble(cfg, 11, 3000)])
+    median = np.median(steps)
+    tail = np.mean(steps[steps > median] - median)
+    assert abs(tail * ball_measure(eps) - 1) < 0.13
 
 
 def test_histogram_layout():
