@@ -503,7 +503,8 @@ def run_rus(
     found once per alpha.  Attempts are drawn in blocks, ``rng.random(2
     min(RUS_BLOCK, attempts left))``, draws 2i and 2i + 1 deciding attempt
     i's rounds by the rule of :func:`~adqcsim.qmath.sample_outcome`; the
-    draws after a success go unused.
+    draws after a success go unused.  Records grow once per block, and with a
+    weight below ``BRANCH_TOL`` a block's outcomes are checked before the next draw.
     Round two flips the sign of the applied phase, so an attempt combines
     to +/- pi (a CZ up to locals) exactly when the two outcomes differ.
     Equal outcomes cancel to the identity, so failed attempts need no
@@ -517,15 +518,19 @@ def run_rus(
     check = min(p0, p1) < BRANCH_TOL
     log: list[AttemptRecord] = []
     for start in range(0, max_attempts, RUS_BLOCK):
-        draws = iter(rng.random(2 * min(RUS_BLOCK, max_attempts - start)).tolist())
-        for j, (d1, d2) in enumerate(zip(draws, draws), start):
-            c = 2 * (d1 >= p0) + (d2 >= p0)  # attempt j's pair c = 2 m1 + m2
-            for m in {c // 2, c % 2} if check else ():
+        stop = min(start + RUS_BLOCK, max_attempts)
+        draws = iter(memoryview(rng.random(2 * (stop - start))))  # each float made as read
+        while len(records) < 4 * stop:
+            i, b = divmod(len(records), 4)
+            records.append(AttemptRecord(i + 1, b // 2, b % 2, b in (1, 2), phases[b]))
+        for k, d1, d2 in zip(range(4 * start, 4 * stop, 4), draws, draws):
+            m1, m2 = d1 >= p0, d2 >= p0
+            log.append(records[k + 2 * m1 + m2])
+            if m1 != m2:
+                break
+        for rec in log[start:] if check else ():
+            for m in {rec.outcome_first, rec.outcome_second}:
                 sample_outcome(p0, p1, forced=m)  # raises for an impossible branch
-            while len(records) < 4 * (j + 1):
-                i, b = divmod(len(records), 4)
-                records.append(AttemptRecord(i + 1, b // 2, b % 2, b in (1, 2), phases[b]))
-            log.append(records[4 * j + c])
-            if c == 1 or c == 2:
-                return RusResult(j + 1, True, tuple(log))
+        if log[-1].success:
+            return RusResult(len(log), True, tuple(log))
     return RusResult(max_attempts, False, tuple(log))

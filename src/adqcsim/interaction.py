@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .qmath import as_unitary, identity, pauli, tensor
+from .qmath import as_unitary, check_finite, identity, pauli, tensor
 
 NONZERO_TOL = 1e-9
 _HALF_PI, _QUARTER_PI = np.pi / 2, np.pi / 4
@@ -87,6 +87,7 @@ class InteractionSpec:
 
 def delta_gate(ax: float, ay: float, az: float) -> np.ndarray:
     """exp(-i (ax XX + ay YY + az ZZ)) as a product of commuting factors."""
+    check_finite("delta_gate angles (ax, ay, az)", ax, ay, az)
     out = np.eye(4, dtype=complex)
     for a, axis in ((ax, "x"), (ay, "y"), (az, "z")):
         pp = tensor(pauli(axis), pauli(axis))

@@ -45,13 +45,27 @@ def identity(n_qubits: int = 1) -> np.ndarray:
     return np.eye(2**n_qubits, dtype=complex)
 
 
+def check_finite(name: str, *values: float) -> None:
+    """Raise a ValueError naming ``name`` unless every one of ``values`` is finite.
+
+    The gate builders call it before any numpy call, so that a NaN or inf
+    angle is an argument error, not a numpy RuntimeWarning.
+    """
+    if not all(map(math.isfinite, values)):
+        shown = ", ".join(map(str, values))
+        shown = shown if len(values) == 1 else f"({shown})"
+        raise ValueError(f"{name} must be finite, got {shown}")
+
+
 def rz(theta: float) -> np.ndarray:
     """Rotation about z by ``theta``: diag(exp(-i theta/2), exp(i theta/2))."""
+    check_finite("rz angle theta", theta)
     return np.array([[np.exp(-0.5j * theta), 0], [0, np.exp(0.5j * theta)]])
 
 
 def rx(theta: float) -> np.ndarray:
     """Rotation about x by ``theta``."""
+    check_finite("rx angle theta", theta)
     c, s = np.cos(theta / 2), np.sin(theta / 2)
     return np.array([[c, -1j * s], [-1j * s, c]])
 
@@ -66,6 +80,7 @@ def c_rz(theta: float, control: int = 0) -> np.ndarray:
     With control = 0 the rotation acts on qubit 1, with control = 1 it acts
     on qubit 0.  The two forms differ only by one-qubit phase gates.
     """
+    check_finite("c_rz angle theta", theta)
     if control == 0:
         return np.diag([1, 1, np.exp(-0.5j * theta), np.exp(0.5j * theta)])
     if control == 1:
@@ -75,6 +90,7 @@ def c_rz(theta: float, control: int = 0) -> np.ndarray:
 
 def c_phase(phi: float) -> np.ndarray:
     """Symmetric controlled phase diag(1, 1, 1, exp(i phi))."""
+    check_finite("c_phase angle phi", phi)
     return np.diag([1, 1, 1, np.exp(1j * phi)]).astype(complex)
 
 
@@ -225,8 +241,7 @@ def state_to_bloch(state: np.ndarray) -> BlochPoint:
 
 def bloch_to_state(theta: float, phi: float) -> np.ndarray:
     """cos(theta/2)|0> + e^(i phi) sin(theta/2)|1>; both angles must be finite."""
-    if not (math.isfinite(theta) and math.isfinite(phi)):
-        raise ValueError(f"Bloch angles (theta, phi) must be finite, got ({theta}, {phi})")
+    check_finite("Bloch angles (theta, phi)", theta, phi)
     return np.array(
         [np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)], dtype=complex
     )

@@ -11,8 +11,9 @@ run (:func:`~adqcsim.egg.run_rus`); draws past the halt or success go unused.
 Stream (seed, t) is numpy's ``PCG64`` seeded by ``SeedSequence(entropy=seed,
 spawn_key=(t,))``, bit for bit.  :func:`derive_rng` does not build that
 ``SeedSequence``: a numpy port of its pool mixing derives the four
-``generate_state(4, uint64)`` words of 256 consecutive streams at once, the
-block is cached, and numpy's own PCG64 seeds itself from the stream's row.
+``generate_state(4, uint64)`` words of 1024 consecutive streams at once (a
+block costs mostly per call, so 1024 cost a third of 256 per stream), the
+32 KiB block is cached, and numpy's own PCG64 seeds itself from the row.
 The tests hold every stream to ``SeedSequence`` on random seeds and indices.
 """
 
@@ -30,8 +31,8 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _XSHIFT = 16
 _M32 = 0xFFFFFFFF
-# streams per derived block: a multiple of 256 never straddles 2^32 or 2^64
-_SPAN_BITS = 8
+# streams per derived block: an aligned block of 1024 never straddles 2^32 or 2^64
+_SPAN_BITS = 10
 
 
 def derive_rng(seed: int, index: int = 0) -> np.random.Generator:
@@ -90,10 +91,10 @@ def _mix(x, y):
 
 @lru_cache(maxsize=4)
 def _block(seed: int, block: int) -> np.ndarray:
-    """Read-only generate_state(4, uint64) words of 256 streams, one row each.
+    """Read-only generate_state(4, uint64) words of 1024 streams, one row each.
 
     Row i mirrors ``SeedSequence(entropy=seed, spawn_key=(t,))`` for stream
-    t = 256 block + i.
+    t = 1024 block + i.
     """
     run = _words(seed)
     run += [0] * (_POOL - len(run))  # padded to the pool size: there is a spawn key

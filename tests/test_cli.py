@@ -165,6 +165,29 @@ def test_non_finite_bloch_angles_are_argument_errors(capsys, tmp_path, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("walk", "--target-rx", "inf", "--trials", "2"), "rx angle theta must be finite"),
+        (("walk", "--target-rx", "nan", "--trials", "2"), "rx angle theta must be finite"),
+        (("kraus", "--params", "inf", "0", "0"), "delta_gate angles (ax, ay, az) must be finite"),
+        (("kraus", "--params", "0", "nan", "0"), "delta_gate angles (ax, ay, az) must be finite"),
+        (("kraus", "--preset", "weak", "--theta", "-inf"), "c_rz angle theta must be finite"),
+        (("kraus", "--preset", "weak", "--theta", "nan"), "c_rz angle theta must be finite"),
+    ],
+)
+def test_non_finite_gate_angles_are_argument_errors(capsys, tmp_path, argv, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *argv, "--out-dir", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)  # exactly one JSON object, no warning text around it
+    assert error["error"] == "ArgumentError"
+    assert error["message"].startswith(message)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_kraus_rejects_flags_the_preset_ignores(capsys, tmp_path):
     cases = [
         (("--preset", "one-param", "--ancilla", "nan", "0", "--basis", "x"), "--ancilla"),
@@ -893,36 +916,45 @@ def test_egg_rus_digests(capsys, tmp_path, argv):
     assert digest == EGG_RUS_DIGESTS[argv]
 
 
-def _egg_rus_failing_in_the_write(capsys, monkeypatch, out_dir: Path) -> None:
+def _egg_rus_failing_in_the_write(capsys, monkeypatch, out_dir: Path, trials: int) -> None:
     # the last trial's NaN phase is met only while the log is being written
     calls = []
 
     def last_is_nan(alpha, rng, max_attempts):
         result = run_rus(alpha, rng, max_attempts)
         calls.append(result)
-        if len(calls) < 50:
+        if len(calls) < trials:
             return result
         bad = dataclasses.replace(result.log[-1], combined_phase=float("nan"))
         return dataclasses.replace(result, log=(*result.log[:-1], bad))
 
     run_rus = cli.run_rus
-    monkeypatch.setattr(cli, "run_rus", last_is_nan)
-    code, out, err = run(capsys, "egg-rus", "--trials", "50", "--out-dir", str(out_dir))
-    assert (code, out, len(calls)) == (3, "", 50)
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "run_rus", last_is_nan)
+        argv = ("egg-rus", "--trials", str(trials), "--out-dir", str(out_dir))
+        code, out, err = run(capsys, *argv)
+    assert (code, out, len(calls)) == (3, "", trials)
     assert json.loads(err)["error"] == "EncodingError"
+
+
+# at 50 trials (about 70 kB of log) the run fails before the write buffer
+# first flushes; at 400 (about 560 kB) the temporary already holds written data
+_FAILING_TRIALS = (50, 400)
 
 
 def test_egg_rus_failing_in_the_write_leaves_no_file(capsys, tmp_path, monkeypatch):
     # fd, fd/new and fd/new/sub were made by the run, and go with its files
-    _egg_rus_failing_in_the_write(capsys, monkeypatch, tmp_path / "fd" / "new" / "sub")
-    assert list(tmp_path.iterdir()) == []
+    for trials in _FAILING_TRIALS:
+        _egg_rus_failing_in_the_write(capsys, monkeypatch, tmp_path / "fd" / "new" / "sub", trials)
+        assert list(tmp_path.iterdir()) == [], trials
 
 
 def test_egg_rus_failing_in_the_write_keeps_an_existing_out_dir(capsys, tmp_path, monkeypatch):
     (tmp_path / "sub").mkdir()
-    _egg_rus_failing_in_the_write(capsys, monkeypatch, tmp_path / "sub")
-    assert [p.name for p in tmp_path.iterdir()] == ["sub"]
-    assert list((tmp_path / "sub").iterdir()) == []
+    for trials in _FAILING_TRIALS:
+        _egg_rus_failing_in_the_write(capsys, monkeypatch, tmp_path / "sub", trials)
+        assert [p.name for p in tmp_path.iterdir()] == ["sub"], trials
+        assert list((tmp_path / "sub").iterdir()) == [], trials
 
 
 def test_failed_write_keeps_a_made_directory_that_is_not_empty(capsys, tmp_path, monkeypatch):

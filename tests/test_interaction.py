@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -37,6 +40,19 @@ def test_delta_identity_and_diagonal_form():
         [np.exp(-1j * alpha), np.exp(1j * alpha), np.exp(1j * alpha), np.exp(-1j * alpha)]
     )
     np.testing.assert_allclose(delta_gate(0, 0, alpha), expected, atol=1e-14)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("slot", range(3))
+def test_delta_gate_rejects_non_finite_angles(slot, bad):
+    # the ValueError comes before any numpy call, so no RuntimeWarning precedes it
+    angles = [0.1, 0.2, 0.3]
+    angles[slot] = bad
+    message = f"delta_gate angles (ax, ay, az) must be finite, got {tuple(angles)}"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            delta_gate(*angles)
 
 
 def test_delta_matches_matrix_exponential():

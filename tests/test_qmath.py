@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -107,6 +109,25 @@ def test_c_rz_and_c_phase():
     np.testing.assert_allclose(cz(), np.diag([1, 1, 1, -1]), atol=1e-15)
     with pytest.raises(ValueError):
         c_rz(theta, control=2)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (rz, "rz angle theta"),
+        (rx, "rx angle theta"),
+        (lambda t: c_rz(t, control=0), "c_rz angle theta"),
+        (lambda t: c_rz(t, control=1), "c_rz angle theta"),
+        (c_phase, "c_phase angle phi"),
+    ],
+)
+def test_gate_builders_reject_non_finite_angles(build, name, bad):
+    # the ValueError comes before any numpy call, so no RuntimeWarning precedes it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"^{name} must be finite, got {bad}$"):
+            build(bad)
 
 
 def test_tensor_and_apply_basics():

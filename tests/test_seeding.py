@@ -1,8 +1,9 @@
 """derive_rng against numpy's own SeedSequence streams.
 
-derive_rng reads each stream's seed words from a cached block of 256
-consecutive streams; the ``test_stream_block_*`` properties hold the streams
-read that way to :func:`oracle.seed_sequence_rng`, bit for bit.
+derive_rng reads each stream's seed words from a cached block of
+``1 << seeding._SPAN_BITS`` consecutive streams; the ``test_stream_block_*``
+properties hold the streams read that way to :func:`oracle.seed_sequence_rng`,
+bit for bit.
 """
 
 from __future__ import annotations
@@ -23,8 +24,9 @@ from adqcsim.seeding import derive_rng
 
 from oracle import seed_sequence_rng
 
-# indices where a block starts or the spawn key gains a 32-bit word
-_EDGES = (0, 256, 2**32, 2**64)
+# indices where a block of 256 or of 1 << _SPAN_BITS streams starts, or where
+# the spawn key gains a 32-bit word
+_EDGES = (0, 256, 1 << seeding._SPAN_BITS, 2**32, 2**64)
 
 
 def _same_stream(seed: int, index: int, m: int) -> bool:
@@ -60,7 +62,7 @@ def test_stream_block_long_rows(seed, m):
 
 def test_stream_block_many_streams():
     # three blocks in a row, every stream of them
-    for t in range(600):
+    for t in range(3 << seeding._SPAN_BITS):
         assert _same_stream(4242, t, 38)
 
 
@@ -98,8 +100,8 @@ def test_generators_are_independent_objects():
 
 def test_cached_blocks_are_read_only():
     derive_rng(5, 1000)
-    words = seeding._block(5, 1000 >> 8)
-    assert words.shape == (256, 4) and words.dtype == np.uint64
+    words = seeding._block(5, 1000 >> seeding._SPAN_BITS)
+    assert words.shape == (1 << seeding._SPAN_BITS, 4) and words.dtype == np.uint64
     assert not words.flags.writeable
     with pytest.raises(ValueError):
         words[0, 0] = 0
