@@ -2,14 +2,19 @@
 
 One ancilla visits two register qubits in turn, coupling to each through a
 weak diagonal interaction and receiving a fixed rotation in between. The four
-computational register branches steer the ancilla to four final states that
-sit on a circle on the Bloch sphere. Measuring the ancilla along the axis
-through that circle's midpoint makes all four branch probabilities equal, and
-the leftover branch phases act on the register as a diagonal two-qubit gate
-with entangling phase Phi. Balancing the two coupling strengths so that the
-two measurement outcomes give Phi = +pi and -pi turns repeat-until-success
-into a deterministic-depth CZ factory: a failed attempt is undone by a
-sign-flipped second round.
+computational register branches steer the ancilla to four final states
+
+    |a_ij> = rz((-1)^j 2 alpha) rx(pi/2) rz((-1)^i 2 beta) |+>,
+
+which sit on a circle on the Bloch sphere around the x axis. Measuring the
+ancilla in the |+>, |-> basis, along the axis through that circle's
+midpoint, makes all four branch probabilities equal: |+> has probability
+p+ = cos^2 of the ring's cap half-angle. The leftover branch phases, read
+from the closed-form overlaps <+/-|a_ij>, act on the register as a diagonal
+two-qubit gate with entangling phase Phi. Balancing the two coupling
+strengths so that the two measurement outcomes give Phi = +pi and -pi turns
+repeat-until-success into a deterministic-depth CZ factory: a failed attempt
+is undone by a sign-flipped second round.
 """
 
 from __future__ import annotations
@@ -19,19 +24,14 @@ import itertools
 import numpy as np
 
 from adqcsim.egg import (
-    EggConfig,
-    effective_beta,
-    entangling_phase,
-    final_ancilla_states,
+    analytic_overlaps,
     find_balanced_beta,
-    midpoint_measurement,
     outcome_probabilities,
     phi_scan,
-    register_unitary,
     run_rus,
     success_probability,
-    symmetric_config,
 )
+from adqcsim.qmath import plus_state, rx, rz, state_to_bloch
 from adqcsim.seeding import derive_rng
 
 np.set_printoptions(precision=4, suppress=True)
@@ -39,24 +39,23 @@ np.set_printoptions(precision=4, suppress=True)
 ALPHA = np.pi / 16
 
 print("=== the four-branch ancilla ring ===\n")
-cfg = symmetric_config(ALPHA)
-print(f"couplings: alpha={ALPHA:.5f} on both qubits (beta={cfg.beta:.5f})")
-traj = final_ancilla_states(cfg)
-for idx, pt in enumerate(traj.bloch):
-    i, j = divmod(idx, 2)
+beta = ALPHA  # preparation |+> on the equator: the split is the coupling itself
+print(f"couplings: alpha={ALPHA:.5f} on both qubits (beta={beta:.5f})")
+for i, j in itertools.product((0, 1), repeat=2):
+    state = rz((-1) ** j * 2 * ALPHA) @ rx(np.pi / 2) @ rz((-1) ** i * 2 * beta) @ plus_state()
+    pt = state_to_bloch(state)
     print(f"  branch |{i}{j}>: theta={pt.theta:.4f}, phi={pt.phi:+.4f}")
-basis = midpoint_measurement(traj)
-print(f"ring midpoint at Bloch axis {np.round(basis.axis, 4)}, "
-      f"cap half-angle {basis.cap_half_angle:.4f}")
+p_plus, p_minus = outcome_probabilities(ALPHA, beta)
+print(f"ring midpoint at Bloch axis {state_to_bloch(plus_state()).cartesian} (the state |+>), "
+      f"cap half-angle {np.arccos(np.sqrt(p_plus)):.4f}")
 print()
 
-plus, minus = register_unitary(traj, (basis.m, basis.m_perp))
-print("outcome '+': p =", f"{plus.probability:.4f}",
-      " register phases =", np.round(np.angle(np.exp(1j * plus.phi)), 4))
-print("outcome '-': p =", f"{minus.probability:.4f}",
-      " register phases =", np.round(np.angle(np.exp(1j * minus.phi)), 4))
-print("entangling phase Phi(+):", f"{entangling_phase(plus.phi):+.4f}")
-print("entangling phase Phi(-):", f"{entangling_phase(minus.phi):+.4f}")
+c_plus, c_minus = analytic_overlaps(ALPHA, beta)
+print("outcome '+': p =", f"{p_plus:.4f}", " register phases =", np.round(np.angle(c_plus), 4))
+print("outcome '-': p =", f"{p_minus:.4f}", " register phases =", np.round(np.angle(c_minus), 4))
+here = phi_scan(ALPHA, (beta, beta), 1)[0]
+print("entangling phase Phi(+):", f"{here.phi_plus:+.4f}")
+print("entangling phase Phi(-):", f"{here.phi_minus:+.4f}")
 print()
 
 # Unequal couplings shift the two entangling phases in opposite directions.
@@ -75,9 +74,10 @@ print(f"outcome probabilities at beta*: {outcome_probabilities(ALPHA, beta_star)
 print(f"success probability of one attempt: 2 p+ p- = {p_succ:.6f}")
 
 # The strongest available preparation rotation may not reach beta*; the
-# reachable coupling follows from the preparation angle.
-print(f"(a preparation tilt of pi/6 only reaches beta = "
-      f"{effective_beta(np.pi / 6, ALPHA):.5f})")
+# reachable split follows from the preparation angle theta_prep as
+# sin 2 beta = sin(theta_prep) sin 2 alpha.
+tilted = np.arcsin(np.sin(np.pi / 6) * np.sin(2 * ALPHA)) / 2
+print(f"(a preparation tilt of pi/6 only reaches beta = {tilted:.5f})")
 print()
 
 print("=== repeat until success ===\n")

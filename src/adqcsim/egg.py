@@ -20,10 +20,13 @@ phases differ by pi: beta* = arctan(sin 2 alpha) / 2, where an attempt
 succeeds with probability sin^2 2 alpha / (1 + sin^2 2 alpha) (derived at
 :func:`find_balanced_beta`, which finds beta* to within ``BALANCE_TOL``).
 
-The ring axis is the normalised cross product of three of the Bloch
-points.  The tests check it against an independent determinant construction
-of the plane, the coplanarity distance of the fourth point and its closed
-form under the symmetric constraints (``tests/oracle.py``).
+The closed form of :func:`analytic_overlaps` is the library's one model of
+the round: the midpoint of this family's ring is |+>, and the scan, the
+balanced point and the RUS protocol all read their phases and probabilities
+from it.  The geometric derivation it is checked against (the four Bloch
+points, the ring axis as the cross-product normal of three of them, the
+midpoint basis and the register back-action, for any preparation angle)
+lives in ``tests/oracle.py``, with the three-qubit statevector circuit.
 """
 
 from __future__ import annotations
@@ -33,24 +36,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qmath import (
-    BRANCH_TOL,
-    BlochPoint,
-    as_state,
-    bloch_to_state,
-    plus_state,
-    rx,
-    rz,
-    sample_outcome,
-    state_to_bloch,
-    wrap_angle,
-)
+from .qmath import BRANCH_TOL, sample_outcome, wrap_angle
 from .seeding import derive_rng  # unused; kept as a binding bench/tracing.py wraps
 
-COPLANAR_TOL = 1e-8
-MAGNITUDE_TOL = 1e-8
-DISTINCT_POINT_TOL = 1e-9
-COLLINEAR_TOL = 1e-12
 SCAN_SAMPLES = 512
 BALANCE_TOL = 1e-10
 RUS_BLOCK = 32
@@ -65,237 +53,10 @@ class NoRoot(EggError):
     """The balanced-phase condition has no solution on the search interval."""
 
 
-class NotCoplanar(EggError):
-    """The four final ancilla states do not lie on a common plane."""
-
-
-class DegenerateRing(EggError):
-    """Fewer than three distinct final states; the ring plane is ambiguous."""
-
-
-class UnequalMagnitudes(EggError):
-    """Measurement basis leaks register information (non-unitary back-action)."""
-
-
-# ---------------------------------------------------------------------------
-# configuration
-
-
 def _check_alpha(alpha: float) -> None:
     """Reject an alpha outside (0, pi/4], NaN included."""
     if not 0.0 < alpha <= np.pi / 4:
         raise ValueError("alpha must lie in (0, pi/4]")
-
-
-def effective_beta(theta_prep: float, alpha: float) -> float:
-    """Effective split angle: sin(2 beta) = sin(theta_prep) sin(2 alpha)."""
-    return float(np.arcsin(np.sin(theta_prep) * np.sin(2 * alpha)) / 2)
-
-
-def theta_prep_for_beta(beta: float, alpha: float) -> float:
-    """Preparation polar angle that realises a requested split beta <= alpha."""
-    ratio = np.sin(2 * beta) / np.sin(2 * alpha)
-    if not 0.0 <= ratio <= 1.0:
-        raise ValueError("requested beta is not reachable for this alpha")
-    return float(np.arcsin(ratio))
-
-
-@dataclass(frozen=True)
-class EggConfig:
-    """Coupling and preparation for one protocol run.
-
-    ``theta_prep`` is the ancilla's preparation polar angle, which sets the
-    effective split :attr:`beta`; the ancilla gate between the two
-    interactions is always rx(pi/2).
-    """
-
-    alpha: float
-    theta_prep: float = np.pi / 2
-
-    def __post_init__(self):
-        _check_alpha(self.alpha)
-        # written so that a NaN theta_prep fails the check too
-        if not 0.0 <= self.theta_prep <= np.pi:
-            raise ValueError("theta_prep must lie in [0, pi]")
-
-    @property
-    def beta(self) -> float:
-        return effective_beta(self.theta_prep, self.alpha)
-
-
-def symmetric_config(alpha: float, beta: float | None = None) -> EggConfig:
-    """The symmetric preset: equatorial ring.
-
-    ``beta`` defaults to its maximum value alpha (preparation |+> on the
-    equator); smaller values tilt the preparation toward the pole.
-    """
-    theta_prep = np.pi / 2 if beta is None else theta_prep_for_beta(beta, alpha)
-    return EggConfig(alpha=alpha, theta_prep=theta_prep)
-
-
-# ---------------------------------------------------------------------------
-# trajectory
-
-
-@dataclass(frozen=True)
-class AncillaTrajectory:
-    """Final ancilla states of one protocol configuration.
-
-    The ancilla passes the first coupling, rx(pi/2) and the second
-    coupling.  ``final_states`` is indexed by (i, j) = (first register bit,
-    second register bit) flattened row-major.
-    """
-
-    final_states: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-    bloch: tuple[BlochPoint, BlochPoint, BlochPoint, BlochPoint]
-
-
-def final_ancilla_states(cfg: EggConfig) -> AncillaTrajectory:
-    """The symmetric family |a_ij> = rz((-1)^j 2 alpha) rx(pi/2) rz((-1)^i 2 beta) |+>.
-
-    The first coupling and the preparation at ``theta_prep`` are folded
-    into the effective split beta.  Against the three-qubit circuit
-    (ancilla prepared at ``theta_prep``, coupled to register qubit 1,
-    rotated by rx(pi/2), coupled to qubit 2) this family has the same
-    |Gram| matrix, so the same ring, and the same midpoint outcome
-    probabilities and Phi.  The per-branch states themselves are the
-    circuit's only when ``theta_prep`` is pi/2.
-    """
-    inter = [rx(np.pi / 2) @ rz(si * 2 * cfg.beta) @ plus_state() for si in (+1, -1)]
-    finals = tuple(
-        rz(sj * 2 * cfg.alpha) @ inter[i] for i in (0, 1) for sj in (+1, -1)
-    )
-    return AncillaTrajectory(finals, tuple(state_to_bloch(s) for s in finals))
-
-
-def _distinct_points(pts: list[np.ndarray]) -> list[np.ndarray]:
-    out: list[np.ndarray] = []
-    for p in pts:
-        if all(np.linalg.norm(p - q) > DISTINCT_POINT_TOL for q in out):
-            out.append(p)
-    return out
-
-
-def _ring_axis(pts: list[np.ndarray]) -> tuple[np.ndarray, float]:
-    """Unit normal of the common ring plane, oriented to non-negative height.
-
-    The normal is the cross product (p1 - p0) x (p2 - p0) of the first
-    three distinct points, for every ring, great circles included.  Raises
-    DegenerateRing for fewer than three distinct points or a normal shorter
-    than ``COLLINEAR_TOL`` (collinear points), and NotCoplanar when any
-    point leaves the plane by more than ``COPLANAR_TOL``.
-    """
-    distinct = _distinct_points(pts)
-    if len(distinct) < 3:
-        raise DegenerateRing(f"only {len(distinct)} distinct ancilla points")
-    p0, p1, p2 = distinct[:3]
-    n = np.cross(p1 - p0, p2 - p0)
-    norm = np.linalg.norm(n)
-    if norm < COLLINEAR_TOL:
-        raise DegenerateRing("the distinct ancilla points are collinear")
-    n_hat = n / norm
-    if any(abs(float(n_hat @ (p - p0))) > COPLANAR_TOL for p in pts):
-        raise NotCoplanar("final ancilla states are not concircular")
-    height = float(np.mean([n_hat @ p for p in pts]))
-    if height < 0:
-        n_hat, height = -n_hat, -height
-    return n_hat, height
-
-
-# ---------------------------------------------------------------------------
-# midpoint measurement and the register back-action
-
-
-@dataclass(frozen=True)
-class MidpointBasis:
-    """Measurement basis along the ring axis, plus the ring geometry."""
-
-    m: np.ndarray
-    m_perp: np.ndarray
-    axis: np.ndarray
-    height: float
-    cap_half_angle: float
-
-
-def midpoint_measurement(t: AncillaTrajectory) -> MidpointBasis:
-    """Basis whose first state sits at the midpoint of the ancilla ring.
-
-    The plane of the four Bloch points fixes the axis; the hemisphere is
-    chosen so that all four overlaps equal cos^2(gamma / 2) with the ring's
-    cap half-angle gamma / 2 at most pi / 4.
-    """
-    pts = [b.cartesian for b in t.bloch]
-    n_hat, height = _ring_axis(pts)
-
-    theta = float(np.arccos(np.clip(n_hat[2], -1.0, 1.0)))
-    phi = 0.0 if min(abs(n_hat[2] - 1), abs(n_hat[2] + 1)) < 1e-12 else float(
-        np.arctan2(n_hat[1], n_hat[0]) % (2 * np.pi)
-    )
-    m = bloch_to_state(theta, phi)
-    m_perp = bloch_to_state(np.pi - theta, (phi + np.pi) % (2 * np.pi))
-
-    expected = (1.0 + height) / 2.0
-    overlaps = [abs(np.vdot(m, s)) ** 2 for s in t.final_states]
-    if max(abs(o - expected) for o in overlaps) > 10 * COPLANAR_TOL:
-        raise NotCoplanar("midpoint overlaps are not uniform")
-    gamma = float(np.arccos(np.clip(height, -1.0, 1.0)))
-    return MidpointBasis(m, m_perp, n_hat, height, gamma / 2)
-
-
-@dataclass(frozen=True)
-class EggOutcome:
-    """Register back-action for one ancilla outcome.
-
-    ``phi`` holds the diagonal phases arg<m|a_ij> indexed [i, j]; ``Phi``
-    is the residual controlled phase wrapped to (-pi, pi]; ``probability``
-    is the state-independent outcome probability |<m|a_ij>|^2.
-    """
-
-    phi: np.ndarray
-    Phi: float
-    probability: float
-    measurement_outcome: int
-
-    @property
-    def kraus_diagonal(self) -> np.ndarray:
-        return np.sqrt(self.probability) * np.exp(1j * self.phi.reshape(-1))
-
-
-def register_unitary(
-    t: AncillaTrajectory, basis: tuple[np.ndarray, np.ndarray]
-) -> tuple[EggOutcome, EggOutcome]:
-    """Diagonal back-action phases for both outcomes of the given basis.
-
-    Raises UnequalMagnitudes when the overlap magnitudes of one outcome
-    differ by more than ``MAGNITUDE_TOL``, i.e. the measurement would leak
-    register information and the conditional evolution would not be unitary.
-    """
-    outcomes = []
-    for idx, m in enumerate(basis):
-        m = as_state(m)
-        c = np.array([np.vdot(m, s) for s in t.final_states]).reshape(2, 2)
-        mags = np.abs(c)
-        p = float(np.mean(mags**2))
-        if mags.max() - mags.min() > MAGNITUDE_TOL:
-            raise UnequalMagnitudes(
-                f"outcome {idx} overlap magnitudes spread {mags.max() - mags.min():.3e}"
-            )
-        phi = np.angle(c)
-        outcomes.append(
-            EggOutcome(
-                phi=phi,
-                Phi=entangling_phase(phi),
-                probability=p,
-                measurement_outcome=idx,
-            )
-        )
-    return outcomes[0], outcomes[1]
-
-
-def entangling_phase(phi: np.ndarray) -> float:
-    """Residual controlled phase (phi11 - phi10) - (phi01 - phi00) in (-pi, pi]."""
-    phi = np.asarray(phi, dtype=float).reshape(2, 2)
-    return wrap_angle((phi[1, 1] - phi[1, 0]) - (phi[0, 1] - phi[0, 0]))
 
 
 # ---------------------------------------------------------------------------
@@ -487,11 +248,20 @@ class RusResult:
 def _rus_setup(alpha: float) -> tuple:
     """(beta*, (p+, p-), phases, records) at alpha's balanced point, for all trials:
     pair c = 2 m1 + m2 has ``phases[c]`` and attempt-k record ``records[4 (k - 1) + c]``.
+
+    Raises EggError when p+ or p- is below ``BRANCH_TOL`` (p- is about 2 alpha^2,
+    so alpha below about 7e-8): no attempt could then succeed.
     """
     beta_star = find_balanced_beta(alpha)
     plus, minus, _ = _outcome_phases(alpha, beta_star)
     phases = tuple(wrap_angle(a - b) for a in (plus, minus) for b in (plus, minus))
-    return beta_star, outcome_probabilities(alpha, beta_star), phases, []
+    probs = outcome_probabilities(alpha, beta_star)
+    if min(probs) < BRANCH_TOL:
+        raise EggError(
+            f"at alpha {alpha:.3g} an outcome has probability {min(probs):.3e}, "
+            "below BRANCH_TOL: no attempt can succeed"
+        )
+    return beta_star, probs, phases, []
 
 
 def run_rus(

@@ -1,12 +1,15 @@
 """Reference code the tests check the library against, kept out of ``src/``.
 
 A dense statevector toolkit (``apply``, ``measure_qubit``, ``ry``), the weak
-chain's per-round operators, the per-branch Kraus extraction with LAPACK
-branch weights, the CLI's CSV cell rule, the Weyl coordinates of a
-two-qubit unitary, the determinant geometry of the plane through Bloch
-points with the closed form of its coplanarity defect, the egg scan's
-formulas point by point on numpy scalars, the RNG contract's streams as
-numpy builds them, and the Haar measure of the walk's target ball.
+chain's per-round operators and round-count law, the repeat-until-success
+attempt law, the per-branch Kraus extraction with LAPACK branch weights, the
+CLI's CSV cell rule, the Weyl coordinates of a two-qubit unitary, the
+geometric model of the entangling round (the four final Bloch points, their
+ring axis, midpoint basis and register back-action), which the closed form
+of ``adqcsim.egg`` is checked against, the determinant geometry of the plane
+through Bloch points with the closed form of its coplanarity defect, the egg
+scan's formulas point by point on numpy scalars, the RNG contract's streams
+as numpy builds them, and the Haar measure of the walk's target ball.
 """
 
 from __future__ import annotations
@@ -14,8 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import stats
 
-from adqcsim.egg import COLLINEAR_TOL, EggError
+from adqcsim.egg import EggError, _check_alpha
 from adqcsim.kraus import PROP_UNITARY_TOL, KrausOutcome
 from adqcsim.qmath import (
     BRANCH_TOL,
@@ -23,9 +27,19 @@ from adqcsim.qmath import (
     BlochPoint,
     as_state,
     as_unitary,
+    bloch_to_state,
+    plus_state,
+    rx,
+    rz,
     sample_outcome,
+    state_to_bloch,
     wrap_angle,
 )
+
+COPLANAR_TOL = 1e-8
+MAGNITUDE_TOL = 1e-8
+DISTINCT_POINT_TOL = 1e-9
+COLLINEAR_TOL = 1e-12
 
 
 def seed_sequence_rng(seed: int, index: int) -> np.random.Generator:
@@ -129,6 +143,64 @@ def step_operators(theta: float) -> tuple[np.ndarray, np.ndarray]:
     return m0, m1
 
 
+def chain_round_law(a2: float, b2: float, theta: float, n: int) -> np.ndarray:
+    """P(first click at round 1), ..., P(round n), then P(label 0), for a weak chain.
+
+    The register a|0> + b|1> has |a|^2 = a2 and |b|^2 = b2.  With c =
+    cos(theta/2) and s = sin(theta/2), round k + 1 reads 1 with probability
+    p1_k = b2 c^(2k) s^2 / (a2 + b2 c^(2k)) (the ``measure`` docstring), so
+    the first click falls at round k + 1 with probability p1_k prod_{j<k} p0_j
+    and the chain reads label 0, n zeros, with probability prod_{j<n} p0_j.
+    """
+    c2, s2 = np.cos(theta / 2) ** 2, np.sin(theta / 2) ** 2
+    tail = b2 * c2 ** np.arange(n)
+    p1 = tail * s2 / (a2 + tail)
+    survive = np.concatenate([[1.0], np.cumprod(1.0 - p1)])
+    return np.append(p1 * survive[:-1], survive[-1])
+
+
+def rus_attempts_law(p_s: float, max_attempts: int) -> np.ndarray:
+    """P(a run takes k attempts) for k = 1 .. max_attempts.
+
+    An attempt succeeds with probability p_s, and a run stops at its first
+    success or after ``max_attempts``: geometric in p_s, (1 - p_s)^(k - 1)
+    p_s, with the runs that use up their attempts, (1 - p_s)^(max_attempts
+    - 1) in all, in the last entry.
+    """
+    law = (1.0 - p_s) ** np.arange(max_attempts) * p_s
+    law[-1] = (1.0 - p_s) ** (max_attempts - 1)
+    return law
+
+
+def fold_tail(law: np.ndarray, trials: int, least: float = 5.0) -> np.ndarray:
+    """Start indices of chi-square bins over a law whose tail thins out.
+
+    Every entry is a bin up to the first that expects fewer than ``least`` of
+    ``trials`` counts; that one and all after it form the last bin, which
+    takes in the bin before it if it still expects fewer.  The starts are
+    for ``np.add.reduceat``.
+    """
+    expected = trials * np.asarray(law)
+    thin = np.flatnonzero(expected < least)
+    if thin.size == 0:
+        return np.arange(len(expected))
+    cut = int(thin[0])
+    if expected[cut:].sum() < least:
+        cut -= 1
+    return np.arange(cut + 1)
+
+
+def chi_square_power(null: np.ndarray, alt: np.ndarray, trials: int, level: float) -> float:
+    """Power of the chi-square test at false-alarm rate ``level`` when ``alt`` is the law.
+
+    ``null`` and ``alt`` are the binned probabilities; under ``alt`` the
+    statistic is noncentral chi-square with trials * sum((alt - null)^2 / null).
+    """
+    df = len(null) - 1
+    lam = trials * float(np.sum((alt - null) ** 2 / null))
+    return float(stats.ncx2.sf(stats.chi2.isf(level, df), df, lam))
+
+
 def proportional_unitary_reference(k: np.ndarray) -> tuple[bool, float]:
     """Test K K^dag = p I by the Frobenius norm of K K^dag - p I; (verdict, p)."""
     k = np.asarray(k, dtype=complex)
@@ -224,6 +296,233 @@ def scan_point(alpha: float, beta: np.float64) -> tuple[float, ...]:
         p_minus,
         2.0 * p_plus * p_minus,
     )
+
+
+# ---------------------------------------------------------------------------
+# the entangling round as ring geometry
+
+
+class NotCoplanar(EggError):
+    """The four final ancilla states do not lie on a common plane."""
+
+
+class DegenerateRing(EggError):
+    """Fewer than three distinct final states; the ring plane is ambiguous."""
+
+
+class UnequalMagnitudes(EggError):
+    """Measurement basis leaks register information (non-unitary back-action)."""
+
+
+def effective_beta(theta_prep: float, alpha: float) -> float:
+    """Effective split angle: sin(2 beta) = sin(theta_prep) sin(2 alpha)."""
+    return float(np.arcsin(np.sin(theta_prep) * np.sin(2 * alpha)) / 2)
+
+
+def theta_prep_for_beta(beta: float, alpha: float) -> float:
+    """Preparation polar angle that realises a requested split beta <= alpha."""
+    ratio = np.sin(2 * beta) / np.sin(2 * alpha)
+    if not 0.0 <= ratio <= 1.0:
+        raise ValueError("requested beta is not reachable for this alpha")
+    return float(np.arcsin(ratio))
+
+
+@dataclass(frozen=True)
+class EggConfig:
+    """Coupling and preparation for one protocol run.
+
+    ``theta_prep`` is the ancilla's preparation polar angle, which sets the
+    effective split :attr:`beta`; the ancilla gate between the two
+    interactions is always rx(pi/2).
+    """
+
+    alpha: float
+    theta_prep: float = np.pi / 2
+
+    def __post_init__(self):
+        _check_alpha(self.alpha)
+        # written so that a NaN theta_prep fails the check too
+        if not 0.0 <= self.theta_prep <= np.pi:
+            raise ValueError("theta_prep must lie in [0, pi]")
+
+    @property
+    def beta(self) -> float:
+        return effective_beta(self.theta_prep, self.alpha)
+
+
+def symmetric_config(alpha: float, beta: float | None = None) -> EggConfig:
+    """The symmetric preset: equatorial ring.
+
+    ``beta`` defaults to its maximum value alpha (preparation |+> on the
+    equator); smaller values tilt the preparation toward the pole.
+    """
+    theta_prep = np.pi / 2 if beta is None else theta_prep_for_beta(beta, alpha)
+    return EggConfig(alpha=alpha, theta_prep=theta_prep)
+
+
+# ---------------------------------------------------------------------------
+# trajectory
+
+
+@dataclass(frozen=True)
+class AncillaTrajectory:
+    """Final ancilla states of one protocol configuration.
+
+    The ancilla passes the first coupling, rx(pi/2) and the second
+    coupling.  ``final_states`` is indexed by (i, j) = (first register bit,
+    second register bit) flattened row-major.
+    """
+
+    final_states: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    bloch: tuple[BlochPoint, BlochPoint, BlochPoint, BlochPoint]
+
+
+def final_ancilla_states(cfg: EggConfig) -> AncillaTrajectory:
+    """The symmetric family |a_ij> = rz((-1)^j 2 alpha) rx(pi/2) rz((-1)^i 2 beta) |+>.
+
+    The first coupling and the preparation at ``theta_prep`` are folded
+    into the effective split beta.  Against the three-qubit circuit
+    (ancilla prepared at ``theta_prep``, coupled to register qubit 1,
+    rotated by rx(pi/2), coupled to qubit 2) this family has the same
+    |Gram| matrix, so the same ring, and the same midpoint outcome
+    probabilities and Phi.  The per-branch states themselves are the
+    circuit's only when ``theta_prep`` is pi/2.
+    """
+    inter = [rx(np.pi / 2) @ rz(si * 2 * cfg.beta) @ plus_state() for si in (+1, -1)]
+    finals = tuple(
+        rz(sj * 2 * cfg.alpha) @ inter[i] for i in (0, 1) for sj in (+1, -1)
+    )
+    return AncillaTrajectory(finals, tuple(state_to_bloch(s) for s in finals))
+
+
+def _distinct_points(pts: list[np.ndarray]) -> list[np.ndarray]:
+    out: list[np.ndarray] = []
+    for p in pts:
+        if all(np.linalg.norm(p - q) > DISTINCT_POINT_TOL for q in out):
+            out.append(p)
+    return out
+
+
+def _ring_axis(pts: list[np.ndarray]) -> tuple[np.ndarray, float]:
+    """Unit normal of the common ring plane, oriented to non-negative height.
+
+    The normal is the cross product (p1 - p0) x (p2 - p0) of the first
+    three distinct points, for every ring, great circles included.  Raises
+    DegenerateRing for fewer than three distinct points or a normal shorter
+    than ``COLLINEAR_TOL`` (collinear points), and NotCoplanar when any
+    point leaves the plane by more than ``COPLANAR_TOL``.
+    """
+    distinct = _distinct_points(pts)
+    if len(distinct) < 3:
+        raise DegenerateRing(f"only {len(distinct)} distinct ancilla points")
+    p0, p1, p2 = distinct[:3]
+    n = np.cross(p1 - p0, p2 - p0)
+    norm = np.linalg.norm(n)
+    if norm < COLLINEAR_TOL:
+        raise DegenerateRing("the distinct ancilla points are collinear")
+    n_hat = n / norm
+    if any(abs(float(n_hat @ (p - p0))) > COPLANAR_TOL for p in pts):
+        raise NotCoplanar("final ancilla states are not concircular")
+    height = float(np.mean([n_hat @ p for p in pts]))
+    if height < 0:
+        n_hat, height = -n_hat, -height
+    return n_hat, height
+
+
+# ---------------------------------------------------------------------------
+# midpoint measurement and the register back-action
+
+
+@dataclass(frozen=True)
+class MidpointBasis:
+    """Measurement basis along the ring axis, plus the ring geometry."""
+
+    m: np.ndarray
+    m_perp: np.ndarray
+    axis: np.ndarray
+    height: float
+    cap_half_angle: float
+
+
+def midpoint_measurement(t: AncillaTrajectory) -> MidpointBasis:
+    """Basis whose first state sits at the midpoint of the ancilla ring.
+
+    The plane of the four Bloch points fixes the axis; the hemisphere is
+    chosen so that all four overlaps equal cos^2(gamma / 2) with the ring's
+    cap half-angle gamma / 2 at most pi / 4.
+    """
+    pts = [b.cartesian for b in t.bloch]
+    n_hat, height = _ring_axis(pts)
+
+    theta = float(np.arccos(np.clip(n_hat[2], -1.0, 1.0)))
+    phi = 0.0 if min(abs(n_hat[2] - 1), abs(n_hat[2] + 1)) < 1e-12 else float(
+        np.arctan2(n_hat[1], n_hat[0]) % (2 * np.pi)
+    )
+    m = bloch_to_state(theta, phi)
+    m_perp = bloch_to_state(np.pi - theta, (phi + np.pi) % (2 * np.pi))
+
+    expected = (1.0 + height) / 2.0
+    overlaps = [abs(np.vdot(m, s)) ** 2 for s in t.final_states]
+    if max(abs(o - expected) for o in overlaps) > 10 * COPLANAR_TOL:
+        raise NotCoplanar("midpoint overlaps are not uniform")
+    gamma = float(np.arccos(np.clip(height, -1.0, 1.0)))
+    return MidpointBasis(m, m_perp, n_hat, height, gamma / 2)
+
+
+@dataclass(frozen=True)
+class EggOutcome:
+    """Register back-action for one ancilla outcome.
+
+    ``phi`` holds the diagonal phases arg<m|a_ij> indexed [i, j]; ``Phi``
+    is the residual controlled phase wrapped to (-pi, pi]; ``probability``
+    is the state-independent outcome probability |<m|a_ij>|^2.
+    """
+
+    phi: np.ndarray
+    Phi: float
+    probability: float
+    measurement_outcome: int
+
+    @property
+    def kraus_diagonal(self) -> np.ndarray:
+        return np.sqrt(self.probability) * np.exp(1j * self.phi.reshape(-1))
+
+
+def register_unitary(
+    t: AncillaTrajectory, basis: tuple[np.ndarray, np.ndarray]
+) -> tuple[EggOutcome, EggOutcome]:
+    """Diagonal back-action phases for both outcomes of the given basis.
+
+    Raises UnequalMagnitudes when the overlap magnitudes of one outcome
+    differ by more than ``MAGNITUDE_TOL``, i.e. the measurement would leak
+    register information and the conditional evolution would not be unitary.
+    """
+    outcomes = []
+    for idx, m in enumerate(basis):
+        m = as_state(m)
+        c = np.array([np.vdot(m, s) for s in t.final_states]).reshape(2, 2)
+        mags = np.abs(c)
+        p = float(np.mean(mags**2))
+        if mags.max() - mags.min() > MAGNITUDE_TOL:
+            raise UnequalMagnitudes(
+                f"outcome {idx} overlap magnitudes spread {mags.max() - mags.min():.3e}"
+            )
+        phi = np.angle(c)
+        outcomes.append(
+            EggOutcome(
+                phi=phi,
+                Phi=entangling_phase(phi),
+                probability=p,
+                measurement_outcome=idx,
+            )
+        )
+    return outcomes[0], outcomes[1]
+
+
+def entangling_phase(phi: np.ndarray) -> float:
+    """Residual controlled phase (phi11 - phi10) - (phi01 - phi00) in (-pi, pi]."""
+    phi = np.asarray(phi, dtype=float).reshape(2, 2)
+    return wrap_angle((phi[1, 1] - phi[1, 0]) - (phi[0, 1] - phi[0, 0]))
 
 
 class CollinearPoints(EggError):

@@ -856,6 +856,26 @@ def test_egg_scan_no_root_is_numeric_failure(capsys, tmp_path):
     assert payload["error"] == "NoRoot"
 
 
+@pytest.mark.parametrize("alpha", ["1e-9", "5e-8"])
+def test_egg_rus_below_the_branch_floor_is_numeric_failure(capsys, tmp_path, alpha):
+    # p- is about 2 alpha^2: exactly 0 at 1e-9, below BRANCH_TOL at 5e-8, so no
+    # attempt can succeed (1e-9 used to divide by the zero success probability)
+    out_dir = tmp_path / "out"
+    argv = ("egg-rus", "--alpha", alpha, "--trials", "3", "--out-dir", str(out_dir))
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == "EggError"
+    assert not out_dir.exists()
+
+
+def test_egg_rus_just_above_the_branch_floor_runs(capsys, tmp_path):
+    # p- is 2e-14 at alpha 1e-7, above BRANCH_TOL: every trial uses up its attempts
+    argv = ("egg-rus", "--alpha", "1e-7", "--trials", "3", "--out-dir", str(tmp_path))
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert json.loads((tmp_path / "egg-rus.json").read_text())["all_succeeded"] is False
+
+
 def test_egg_rus_finds_the_balanced_point_once(capsys, tmp_path, monkeypatch):
     calls = []
 

@@ -6,33 +6,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from adqcsim import egg
 from adqcsim.egg import (
     BALANCE_TOL,
     RUS_BLOCK,
-    AncillaTrajectory,
     AttemptRecord,
-    DegenerateRing,
-    EggConfig,
     NoRoot,
-    NotCoplanar,
     RusResult,
-    UnequalMagnitudes,
     analytic_overlaps,
     delta_phi_raw,
-    effective_beta,
-    entangling_phase,
-    final_ancilla_states,
     find_balanced_beta,
-    midpoint_measurement,
     outcome_probabilities,
     phi_scan,
-    register_unitary,
     run_rus,
     success_probability,
-    symmetric_config,
-    theta_prep_for_beta,
 )
 from adqcsim.qmath import (
     ImpossibleBranchError,
@@ -51,15 +40,31 @@ from adqcsim.interaction import delta_gate
 from adqcsim.seeding import derive_rng
 
 from oracle import (
+    AncillaTrajectory,
     CollinearPoints,
     ConstraintViolated,
+    DegenerateRing,
+    EggConfig,
+    NotCoplanar,
+    UnequalMagnitudes,
+    _ring_axis,
     apply,
+    chi_square_power,
     constrained_distance,
     coplanarity_distance,
+    effective_beta,
+    entangling_phase,
+    final_ancilla_states,
+    fold_tail,
     local_reduction,
+    midpoint_measurement,
     plane_coefficients,
+    register_unitary,
+    rus_attempts_law,
     scan_point,
     spherical_point,
+    symmetric_config,
+    theta_prep_for_beta,
     vertical_plane_check,
 )
 
@@ -236,7 +241,7 @@ def test_great_circle_ring_axis(beta):
     # height is about 1e-17 and the axis sign is not asserted
     t = final_ancilla_states(symmetric_config(np.pi / 4, beta))
     pts = [b.cartesian for b in t.bloch]
-    axis, _ = egg._ring_axis(pts)
+    axis, _ = _ring_axis(pts)
     assert max(abs(float(axis @ p)) for p in pts) < 1e-12
     mb = midpoint_measurement(t)
     overlaps = [abs(np.vdot(mb.m, s)) ** 2 for s in t.final_states]
@@ -248,7 +253,7 @@ def test_nearly_coincident_points_are_a_degenerate_ring():
     p = np.array([0.0, 0.0, 1.0])
     pts = [p, p + [1e-7, 0.0, 0.0], p + [0.0, 1e-7, 0.0]]
     with pytest.raises(DegenerateRing):
-        egg._ring_axis(pts)
+        _ring_axis(pts)
 
 
 def test_register_unitary_wrong_basis_leaks():
@@ -623,6 +628,44 @@ def test_run_rus_success_rate():
     freq = np.mean([rec.success for rec in attempts])
     sigma = np.sqrt(p * (1 - p) / n)
     assert abs(freq - p) < 4 * sigma
+
+
+@pytest.mark.parametrize(
+    "max_attempts, seed, shifts, pair_shift",
+    [(1000, 11, (0.053, -0.048), 0.0163), (24, 12, (0.048, -0.044), 0.0166)],
+)
+def test_run_rus_attempts_follow_their_law(max_attempts, seed, shifts, pair_shift):
+    """The whole attempts histogram of 20000 runs at pi/16 against its exact law.
+
+    Attempts are geometric in p_s = sin^2 2 alpha / (1 + sin^2 2 alpha),
+    truncated at ``max_attempts`` (``oracle.rus_attempts_law``); the tail is
+    folded until every bin expects 5 counts (47 bins at 1000 attempts, 24 at
+    24).  The deciding pairs (0, 1) and (1, 0) of the successful runs are
+    equally likely, by an exact binomial test.  Each test rejects a correct
+    sampler with probability 1e-3, so this case does with at most 2e-3.  With
+    90 % power the chi-square test detects p_s moved by ``shifts`` (relative),
+    and the binomial test a deciding-pair probability 1/2 +/- ``pair_shift``;
+    the test recomputes both powers.
+    """
+    n, level = 20000, 1e-3
+    s2 = np.sin(2 * ALPHA) ** 2
+    p_s = s2 / (1 + s2)
+    runs = [run_rus(ALPHA, derive_rng(seed, t), max_attempts) for t in range(n)]
+    full = rus_attempts_law(p_s, max_attempts)
+    starts = fold_tail(full, n)
+    law = np.add.reduceat(full, starts)
+    counts = np.bincount([r.attempts for r in runs], minlength=max_attempts + 1)[1:]
+    assert stats.chisquare(np.add.reduceat(counts, starts), n * law).pvalue > level
+    for shift in shifts:
+        alt = np.add.reduceat(rus_attempts_law(p_s * (1 + shift), max_attempts), starts)
+        assert chi_square_power(law, alt, n, level) >= 0.9
+
+    firsts = [r.log[-1].outcome_first for r in runs if r.success]  # 0 for the pair (0, 1)
+    m = len(firsts)
+    assert stats.binomtest(firsts.count(0), m, 0.5).pvalue > level
+    lo = stats.binom.ppf(level / 2, m, 0.5) - 1  # rejected: at most lo of either pair
+    q = 0.5 + pair_shift
+    assert stats.binom.cdf(lo, m, q) + stats.binom.sf(m - lo - 1, m, q) >= 0.9
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from adqcsim import measure
 from adqcsim.kraus import kraus_for
@@ -33,7 +34,13 @@ from adqcsim.qmath import (
 )
 from adqcsim.seeding import derive_rng
 
-from oracle import seed_sequence_rng, step_operators
+from oracle import (
+    chain_round_law,
+    chi_square_power,
+    fold_tail,
+    seed_sequence_rng,
+    step_operators,
+)
 
 THETA = np.pi / 4
 
@@ -344,6 +351,33 @@ def test_ensemble_determinism_and_frequency():
     assert abs(freq - p_one) < 4 * sigma
     with pytest.raises(ValueError):
         measurement_ensemble(state, cfg, 61, 0)
+
+
+def test_chain_round_counts_follow_their_law():
+    """Round counts of 20000 chains at theta = pi/4, eps = 0.05 (n = 38) on |+>.
+
+    ``oracle.chain_round_law`` gives the first click's round 1..n and label 0
+    from the ``measure`` docstring's p1_k.  The late rounds are folded until
+    every bin expects 5 counts (37 round bins) and label 0 is a bin of its
+    own.  The chi-square test rejects a correct chain with probability 1e-3;
+    with 90 % power it detects theta moved by +3.9 % or -3.6 % (relative),
+    which the test recomputes.
+    """
+    trials, level = 20000, 1e-3
+    cfg = MeasureConfig(theta=THETA, epsilon=0.05)
+    n = cfg.n_steps
+    assert n == 38
+    a2, b2 = abs(plus_state()) ** 2
+    full = chain_round_law(a2, b2, THETA, n)
+    starts = np.append(fold_tail(full[:n], trials), n)
+    law = np.add.reduceat(full, starts)
+    results = measurement_ensemble(plus_state(), cfg, 62, trials)
+    # label 1 at round k is entry k - 1, label 0 (n rounds) entry n
+    counts = np.bincount([r.steps_used - r.label for r in results], minlength=n + 1)
+    assert stats.chisquare(np.add.reduceat(counts, starts), trials * law).pvalue > level
+    for shift in (0.039, -0.036):
+        alt = np.add.reduceat(chain_round_law(a2, b2, THETA * (1 + shift), n), starts)
+        assert chi_square_power(law, alt, trials, level) >= 0.9
 
 
 def test_initialize_register_projective():
