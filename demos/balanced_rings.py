@@ -29,6 +29,7 @@ from adqcsim.egg import (
     outcome_probabilities,
     phi_scan,
     run_rus,
+    rus_phases,
     success_probability,
 )
 from adqcsim.qmath import plus_state, rx, rz, state_to_bloch
@@ -83,17 +84,18 @@ print()
 print("=== repeat until success ===\n")
 rng = derive_rng(20240901, 99)
 result = run_rus(ALPHA, rng)
+phases = rus_phases(ALPHA)  # combined phase by pair code 2 m1 + m2
 print(f"one run: success after {result.attempts} attempts")
-for rec in result.log:
-    print(f"  attempt {rec.attempt}: outcomes ({rec.outcome_first}, "
-          f"{rec.outcome_second}) -> "
-          f"{'success' if rec.success else 'undone'}, "
-          f"combined phase {rec.combined_phase:+.4f}")
+for k, code in enumerate(result.codes, 1):
+    m1, m2 = divmod(code, 2)
+    print(f"  attempt {k}: outcomes ({m1}, {m2}) -> "
+          f"{'success' if m1 != m2 else 'undone'}, "
+          f"combined phase {phases[code]:+.4f}")
 
 # the first n attempts of independent runs, one derived stream per run
 n = 20_000
-logs = (run_rus(ALPHA, derive_rng(20240901, t)).log for t in itertools.count())
-succ = [rec.success for rec in itertools.islice(itertools.chain.from_iterable(logs), n)]
+codes = (run_rus(ALPHA, derive_rng(20240901, t)).codes for t in itertools.count())
+succ = [c in (1, 2) for c in itertools.islice(itertools.chain.from_iterable(codes), n)]
 print(f"\n{n} independent attempts: empirical success rate "
       f"{np.mean(succ):.4f} vs analytic {p_succ:.4f}")
 print(f"mean attempts to success: {1 / p_succ:.2f}")

@@ -12,7 +12,7 @@ under --out-dir with a manifest beside them recording the subcommand, its
 parameters (--seed among them, --out-dir relative to the working
 directory), the package version and the output names, and only then
 prints.  A CSV is encoded a block of rows at a time as it is written
-(:func:`_csv_chunks`), and egg-rus's log a trial at a time
+(:func:`_csv_chunks`), and egg-rus's log a block of trials at a time
 (:func:`_rus_chunks`), so no table is held whole as text; every other JSON
 file is a summary of a few kB, written as one string by :func:`_json_text`.
 All files go to temporaries first and are renamed into place together, so a
@@ -79,6 +79,7 @@ EXIT_IO = 4
 
 CLI_CLASS_TOL = 1e-6
 CSV_BLOCK = 1024  # lines per CSV chunk, and record-array rows per tolist()
+RUS_CHUNK = 64  # egg-rus trials per log chunk
 WRITE_BUFFER = 1 << 18  # bytes an artifact's temporary buffers per write call
 _parser = functools.cache(lambda: build_parser())  # main's one parser; build_parser stays fresh
 
@@ -121,28 +122,36 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _rus_chunks(summary: dict, trials) -> Iterator[str]:
+def _rus_chunks(summary: dict, trials, phases) -> Iterator[str]:
     """egg-rus's log, ``summary`` with ``"trials"``, as :func:`_json_text` writes it.
 
-    The summary head ("trials" sorts after every summary key), then trial t as
-    the stdlib writes ``{"trial": t, **fields}``, a chunk each, then the tail.
-    Each record's text is made once per call and kept by ``id``: safe, because
-    ``trials``, a list, holds every record until the generator ends.
+    The head, then ``RUS_CHUNK`` trials a chunk, then the tail.  Attempt k with
+    pair code c = 2 m1 + m2 logs k, ``phases[c]``, m1, m2 and whether they
+    differ.  Each code's entry, and each distinct result's text up to its
+    trial number, is made once per call, when first written.
     """
-    head, tail = _json_text({**summary, "trials": [None]}).rsplit("null", 1)
-    texts: dict[int, str] = {}
-    trial = ('%s{\n      "attempts": %d,\n      "log": [\n        %s\n      ],'
-             '\n      "success": %s,\n      "trial": %d\n    }')
+    head, tail = _json_text({**summary, "trials": [None]}).rsplit("\n    null", 1)
+    trial = (',\n    {\n      "attempts": %d,\n      "log": [\n        %s\n      ],'
+             '\n      "success": %s,\n      "trial": ')
 
-    def record(rec) -> str:
-        texts[id(rec)] = text = _json_text(vars(rec))[:-1].replace("\n", "\n" + " " * 8)
-        return text
+    @functools.cache
+    def entry(c: int) -> str:  # with %d for the attempt number
+        m1, m2 = divmod(c, 2)  # "attempt" sorts before these keys
+        fields = {"combined_phase": phases[c], "outcome_first": m1, "outcome_second": m2,
+                  "success": m1 != m2}
+        return ('{\n  "attempt": %d,' + _json_text(fields)[1:-1]).replace("\n", "\n" + " " * 8)
 
-    known = texts.get
+    @functools.cache
+    def text(r) -> str:
+        log = ",\n        ".join([entry(c) % k for k, c in enumerate(r.codes, 1)])
+        return trial % (r.attempts, log, ("false", "true")[r.success])
+
     yield head
-    for t, r in enumerate(trials):
-        log = ",\n        ".join([known(id(rec)) or record(rec) for rec in r.log])
-        yield trial % (",\n    " if t else "", r.attempts, log, ("false", "true")[r.success], t)
+    trials = enumerate(trials)
+    while block := list(itertools.islice(trials, RUS_CHUNK)):
+        parts = [s for t, r in block for s in (text(r), "%d\n    }" % t)]
+        parts[0] = parts[0][block[0][0] == 0 :]  # no "," before the first trial
+        yield "".join(parts)
     yield tail
 
 
@@ -150,13 +159,9 @@ def _complex_matrix(m: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m)]
 
 
-def _csv_text(header, rows) -> str:
-    """``header``, then one comma-separated line for each tuple in ``rows``."""
-    return "".join(_csv_chunks(header, rows))
-
-
 def _csv_chunks(header, rows) -> Iterator[str]:
-    """:func:`_csv_text` as lazy chunks: the header, then runs of CSV_BLOCK lines.
+    """A CSV of ``header`` and the tuples ``rows`` as lazy chunks: the header, then
+    runs of CSV_BLOCK lines.
 
     One %-format writes every row, with each column's kind taken from the
     first row: ``%d`` for bools and ints, ``%.17g`` for the rest.
@@ -368,7 +373,7 @@ def _cmd_egg_scan(args: argparse.Namespace) -> tuple[dict, str]:
 def _cmd_egg_rus(args: argparse.Namespace) -> tuple[dict, str]:
     if args.trials < 1:
         raise ValueError("trials must be >= 1")
-    beta = _rus_setup(args.alpha)[0]  # checks alpha
+    beta, _, phases = _rus_setup(args.alpha)  # checks alpha
     trials = [
         run_rus(args.alpha, derive_rng(args.seed, t), args.max_attempts)
         for t in range(args.trials)
@@ -380,7 +385,7 @@ def _cmd_egg_rus(args: argparse.Namespace) -> tuple[dict, str]:
         "mean_attempts": float(np.mean([r.attempts for r in trials])),
         "all_succeeded": all(r.success for r in trials),
     }
-    return {"json": _rus_chunks(summary, trials)}, (
+    return {"json": _rus_chunks(summary, trials, phases)}, (
         f"egg-rus: mean attempts {summary['mean_attempts']:.2f} "
         f"(analytic {1 / summary['analytic_success_prob']:.2f})\n"
     )

@@ -31,12 +31,12 @@ lives in ``tests/oracle.py``, with the three-qubit statevector circuit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .qmath import BRANCH_TOL, sample_outcome, wrap_angle
+from .qmath import BRANCH_TOL, wrap_angle
 from .seeding import derive_rng  # unused; kept as a binding bench/tracing.py wraps
 
 SCAN_SAMPLES = 512
@@ -228,26 +228,19 @@ def find_balanced_beta(alpha: float, beta_max: float | None = None) -> float:
 # repeat-until-success CZ generation
 
 
-@dataclass(frozen=True)
-class AttemptRecord:
-    attempt: int
-    outcome_first: int
-    outcome_second: int
-    success: bool
-    combined_phase: float
+class RusResult(NamedTuple):
+    """A repeat-until-success run; ``codes`` holds one byte per attempt, the code
+    2 m1 + m2 of its outcome pair (:func:`rus_phases` gives its combined phase)."""
 
-
-@dataclass(frozen=True)
-class RusResult:
     attempts: int
     success: bool
-    log: tuple[AttemptRecord, ...]
+    codes: bytes
 
 
 @lru_cache
 def _rus_setup(alpha: float) -> tuple:
-    """(beta*, (p+, p-), phases, records) at alpha's balanced point, for all trials:
-    pair c = 2 m1 + m2 has ``phases[c]`` and attempt-k record ``records[4 (k - 1) + c]``.
+    """(beta*, (p+, p-), phases) at alpha's balanced point, for all trials:
+    the attempt with pair code c = 2 m1 + m2 combines to ``phases[c]``.
 
     Raises EggError when p+ or p- is below ``BRANCH_TOL`` (p- is about 2 alpha^2,
     so alpha below about 7e-8): no attempt could then succeed.
@@ -261,7 +254,13 @@ def _rus_setup(alpha: float) -> tuple:
             f"at alpha {alpha:.3g} an outcome has probability {min(probs):.3e}, "
             "below BRANCH_TOL: no attempt can succeed"
         )
-    return beta_star, probs, phases, []
+    return beta_star, probs, phases
+
+
+def rus_phases(alpha: float) -> tuple[float, float, float, float]:
+    """Combined phase of an attempt at alpha's balanced point, by its code 2 m1 + m2:
+    0 for the equal pairs (codes 0 and 3), +/- pi for the unequal ones (1 and 2)."""
+    return _rus_setup(alpha)[2]
 
 
 def run_rus(
@@ -273,8 +272,8 @@ def run_rus(
     found once per alpha.  Attempts are drawn in blocks, ``rng.random(2
     min(RUS_BLOCK, attempts left))``, draws 2i and 2i + 1 deciding attempt
     i's rounds by the rule of :func:`~adqcsim.qmath.sample_outcome`; the
-    draws after a success go unused.  Records grow once per block, and with a
-    weight below ``BRANCH_TOL`` a block's outcomes are checked before the next draw.
+    draws after a success go unused.  Each attempt adds one byte, its pair
+    code, to the result's ``codes``; no per-attempt object is made.
     Round two flips the sign of the applied phase, so an attempt combines
     to +/- pi (a CZ up to locals) exactly when the two outcomes differ.
     Equal outcomes cancel to the identity, so failed attempts need no
@@ -284,23 +283,13 @@ def run_rus(
     """
     if max_attempts < 1:
         raise ValueError("max_attempts must be >= 1")
-    _, (p0, p1), phases, records = _rus_setup(alpha)
-    check = min(p0, p1) < BRANCH_TOL
-    log: list[AttemptRecord] = []
+    p0 = _rus_setup(alpha)[1][0]
+    codes = bytearray()
     for start in range(0, max_attempts, RUS_BLOCK):
-        stop = min(start + RUS_BLOCK, max_attempts)
-        draws = iter(memoryview(rng.random(2 * (stop - start))))  # each float made as read
-        while len(records) < 4 * stop:
-            i, b = divmod(len(records), 4)
-            records.append(AttemptRecord(i + 1, b // 2, b % 2, b in (1, 2), phases[b]))
-        for k, d1, d2 in zip(range(4 * start, 4 * stop, 4), draws, draws):
+        draws = iter(memoryview(rng.random(2 * min(RUS_BLOCK, max_attempts - start))))
+        for d1, d2 in zip(draws, draws):  # each float made as read
             m1, m2 = d1 >= p0, d2 >= p0
-            log.append(records[k + 2 * m1 + m2])
+            codes.append(2 * m1 + m2)
             if m1 != m2:
-                break
-        for rec in log[start:] if check else ():
-            for m in {rec.outcome_first, rec.outcome_second}:
-                sample_outcome(p0, p1, forced=m)  # raises for an impossible branch
-        if log[-1].success:
-            return RusResult(len(log), True, tuple(log))
-    return RusResult(max_attempts, False, tuple(log))
+                return RusResult(len(codes), True, bytes(codes))
+    return RusResult(max_attempts, False, bytes(codes))

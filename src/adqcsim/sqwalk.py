@@ -36,9 +36,6 @@ from .seeding import derive_rng
 
 _RAND_CHUNK = 4096
 _WORD = 8
-_BIT_SHIFTS = np.arange(_WORD)
-# the word table holds the words of length 1..8 in turn; length l starts at 2^l - 2
-_WORD_OFFSETS = 2 ** np.arange(1, _WORD + 1) - 2
 
 
 @dataclass(frozen=True)
@@ -65,7 +62,7 @@ class WalkConfig:
 
     @cached_property
     def _tables(self):
-        """The gates' word table and the target's SU(2) pair, built on first use."""
+        """The gates' prefix tables and the target's SU(2) pair, built on first use."""
         return _word_table(_su2(self.u0), _su2(self.u1)), _su2(self.target)
 
 
@@ -94,8 +91,9 @@ def run_walk(cfg: WalkConfig, rng: np.random.Generator) -> WalkResult:
     Gates and target are reduced to SU(2) pairs (a, b), the matrices
     [[a, b], [-conj(b), conj(a)]]: dividing out sqrt(det) changes only a
     global phase, which |Tr(T^dag V)| ignores.  Each chunk is one block of
-    512 8-draw words: it looks up their products in the word table built
-    once per ``cfg``, scans the word totals, and tests every partial product.
+    512 8-draw words: it packs each word's draws into a byte, looks up the
+    word's prefix products in the tables built once per ``cfg``, scans the
+    word totals, and tests every partial product.
     """
     (ta, tb), (c, d) = cfg._tables
     # half-traces: trace_distance(V, T) <= eps  iff  |Re Tr(T^dag V)| / 2 >= 1 - eps^2
@@ -108,10 +106,10 @@ def run_walk(cfg: WalkConfig, rng: np.random.Generator) -> WalkResult:
 
     done = 0
     while done < cfg.max_steps:
-        words = (rng.random(_RAND_CHUNK) >= cfg.p0).reshape(-1, _WORD)
-        idx = np.cumsum(words << _BIT_SHIFTS, axis=1) + _WORD_OFFSETS
+        # bit j of word w's code is draw 8 w + j
+        codes = np.packbits(rng.random(_RAND_CHUNK) >= cfg.p0, bitorder="little")
         # pa, pb[w, k]: product of draws 0..k of word w
-        pa, pb = ta[idx], tb[idx]
+        pa, pb = np.take(ta, codes, axis=0), np.take(tb, codes, axis=0)
         # qa, qb[w]: product of words 0..w-1 and the carry; the last is the next carry
         qa, qb = _scan(
             np.concatenate(([ca], pa[:, -1])), np.concatenate(([cb], pb[:, -1]))
@@ -155,10 +153,10 @@ def _scan(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _word_table(g0, g1) -> tuple[np.ndarray, np.ndarray]:
-    """Products of every gate word of length 1..8, indexed by its bits.
+    """Prefix products of every 8-gate word: [x, k] is the product of its first k + 1 gates.
 
-    Bit j of a word's code is 1 when its j-th gate is ``u1``; the word of
-    length l with code x sits at 2^l - 2 + x.
+    Bit j of a word's code x is 1 when its j-th gate is ``u1``; the word of
+    length l is built from the one of length l - 1 and code x mod 2^(l - 1).
     """
     a = np.array([g0[0], g1[0]])
     b = np.array([g0[1], g1[1]])
@@ -169,7 +167,8 @@ def _word_table(g0, g1) -> tuple[np.ndarray, np.ndarray]:
         a, b = np.concatenate((a0, a1)), np.concatenate((b0, b1))
         ta.append(a)
         tb.append(b)
-    return np.concatenate(ta), np.concatenate(tb)
+    # column k: the words of length k + 1, row x the one with code x mod 2^(k + 1)
+    return tuple(np.stack([np.tile(t, a.size // t.size) for t in ts], 1) for ts in (ta, tb))
 
 
 def _distance(half_trace: float) -> float:

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 import adqcsim
 from adqcsim import cli, egg
-from adqcsim.egg import AttemptRecord, RusResult
+from adqcsim.egg import RusResult
 from adqcsim.seeding import derive_rng
 from adqcsim.sqwalk import WALK_PRESETS, walk_config
 
@@ -554,16 +554,15 @@ def test_json_output_is_strict():
                 _stdlib_json(obj)
             with pytest.raises(TypeError):
                 cli._json_text(obj)
-    # records go through egg-rus's writer: a bad phase in any log, or in the summary, raises
-    ok = AttemptRecord(1, 0, 1, True, np.pi)
+    # egg-rus's writer: a non-finite phase in any slot, or in the summary, raises
+    phases = (0.0, np.pi, -np.pi, 0.0)
+    runs = [RusResult(1, True, b"\x01")] * 3 + [RusResult(3, True, b"\x00\x03\x02")]
     for bad in (float("nan"), float("inf"), -float("inf"), np.float64("nan")):
-        rec = AttemptRecord(2, 1, 0, True, bad)
-        for trials in ([RusResult(1, True, (rec,))], [RusResult(1, True, (ok,))] * 3
-                       + [RusResult(2, True, (AttemptRecord(1, 0, 0, False, 0.0), rec))]):
+        for slot in range(4):
             with pytest.raises(ValueError):
-                "".join(cli._rus_chunks(_RUS_SUMMARY, trials))
+                "".join(cli._rus_chunks(_RUS_SUMMARY, runs, (*phases[:slot], bad, *phases[slot + 1:])))
         with pytest.raises(ValueError):
-            "".join(cli._rus_chunks({**_RUS_SUMMARY, "beta": bad}, [RusResult(1, True, (ok,))]))
+            "".join(cli._rus_chunks({**_RUS_SUMMARY, "beta": bad}, runs, phases))
 
 
 _JSON_KEYS = st.one_of(
@@ -620,7 +619,7 @@ def test_csv_text_is_the_cell_rule(data):
     rows = data.draw(st.lists(st.tuples(*kinds), max_size=12))
     header = [f"c{j}" for j in range(len(kinds))]
     lines = [",".join(header)] + [",".join(map(csv_cell, row)) for row in rows]
-    assert cli._csv_text(header, rows) == "\n".join(lines) + "\n"
+    assert "".join(cli._csv_chunks(header, rows)) == "\n".join(lines) + "\n"
 
 
 def test_json_text_writes_non_str_keys_as_the_stdlib_does():
@@ -639,32 +638,50 @@ _RUS_SUMMARY = {
 _PHASES = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
     [-0.0, np.pi, -np.pi, 5e-324, np.float64(np.pi)]
 )
-_ATTEMPT_RECORDS = st.builds(
-    AttemptRecord, st.integers(1, 2000), st.integers(0, 1), st.integers(0, 1), st.booleans(),
-    _PHASES,
-)
+_FAILED = st.lists(st.sampled_from([0, 3]), max_size=6)  # equal outcomes
+_CODES = st.one_of(
+    _FAILED.filter(bool),  # a run that used up its attempts
+    st.builds(lambda failed, won: [*failed, won], _FAILED, st.sampled_from([1, 2])),
+).map(bytes)
+
+
+def _rus_result(codes: bytes) -> RusResult:
+    """A run with these ``codes``, as run_rus returns one."""
+    return RusResult(len(codes), codes[-1] in (1, 2), codes)
 
 
 @st.composite
 def _rus_runs(draw):
     """Lists of RusResult: kernel runs, successes and exhausted ones, and hand-made
-    runs whose logs share records across trials or make a record afresh."""
-    pool = draw(st.lists(_ATTEMPT_RECORDS, min_size=1, max_size=5))
-    log = st.lists(st.sampled_from(pool) | _ATTEMPT_RECORDS, min_size=1, max_size=6)
-    made = st.builds(lambda log, won: RusResult(len(log), won, tuple(log)), log, st.booleans())
+    runs whose codes repeat across trials (as equal objects, not the same one),
+    or are first seen late."""
+    pool = draw(st.lists(_CODES, min_size=1, max_size=5))
+    again = st.sampled_from(pool).map(lambda codes: bytes(bytearray(codes)))
+    made = (again | _CODES).map(_rus_result)
     kernel = st.builds(
         lambda t, max_attempts: egg.run_rus(np.pi / 16, derive_rng(3, t), max_attempts),
         st.integers(0, 200), st.sampled_from([1, 3, 1000]),
     )
-    return draw(st.lists(made | kernel, min_size=1, max_size=8))
+    runs = draw(st.lists(made | kernel, min_size=1, max_size=8))
+    late = draw(st.lists(_CODES.map(_rus_result), max_size=2))
+    return runs + late
 
 
-def _rus_plain(summary: dict, trials) -> dict:
+def _rus_plain(summary: dict, trials, phases) -> dict:
     """egg-rus's log as plain data, the way the stdlib reads it."""
     return {
         **summary,
         "trials": [
-            {"trial": t, **vars(r), "log": [vars(rec) for rec in r.log]}
+            {
+                "trial": t,
+                "attempts": r.attempts,
+                "success": r.success,
+                "log": [
+                    {"attempt": k, "combined_phase": phases[c], "outcome_first": c // 2,
+                     "outcome_second": c % 2, "success": c // 2 != c % 2}
+                    for k, c in enumerate(r.codes, 1)
+                ],
+            }
             for t, r in enumerate(trials)
         ],
     }
@@ -674,23 +691,24 @@ def _rus_plain(summary: dict, trials) -> dict:
 @given(
     st.fixed_dictionaries({k: _PHASES for k in _RUS_SUMMARY if k != "all_succeeded"}),
     st.booleans(),
+    st.tuples(_PHASES, _PHASES, _PHASES, _PHASES),
     _rus_runs(),
 )
-def test_rus_chunks_are_the_stdlib_indented_dump(summary, all_succeeded, trials):
+def test_rus_chunks_are_the_stdlib_indented_dump(summary, all_succeeded, phases, trials):
     summary["all_succeeded"] = all_succeeded
-    text = "".join(cli._rus_chunks(summary, trials))
-    assert text == _stdlib_json(_rus_plain(summary, trials))
+    text = "".join(cli._rus_chunks(summary, trials, phases))
+    assert text == _stdlib_json(_rus_plain(summary, trials, phases))
 
 
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def test_rus_chunks_are_lazy_and_one_trial_long():
+def test_rus_chunks_are_lazy_and_at_most_one_block_long():
     args = cli.build_parser().parse_args(["egg-rus", "--trials", "5"])
     assert isinstance(args.func(args)[0]["json"], Iterator)
-    # results holds every record, as egg-rus's list of trials does
     results = [egg.run_rus(np.pi / 16, derive_rng(2, t)) for t in range(500)]
+    phases = egg.rus_phases(np.pi / 16)
     read = []
 
     def reading():
@@ -698,21 +716,26 @@ def test_rus_chunks_are_lazy_and_one_trial_long():
             read.append(r)
             yield r
 
-    chunks = cli._rus_chunks(_RUS_SUMMARY, reading())
+    chunks = cli._rus_chunks(_RUS_SUMMARY, reading(), phases)
     head = next(chunks)
     assert read == []
     first = next(chunks)
-    assert len(read) == 1  # the second trial is not read yet
+    assert len(read) == cli.RUS_CHUNK  # the next block is not read yet
     chunks = [head, first, *chunks]
-    text = "".join(chunks)
-    assert _sha(text) == _sha(_stdlib_json(_rus_plain(_RUS_SUMMARY, results)))
-    # each chunk between head and tail is one trial as it stands in the file,
-    # its lines indented by 4, after the separator from the one before it
+    plain = _rus_plain(_RUS_SUMMARY, results, phases)
+    assert _sha("".join(chunks)) == _sha(_stdlib_json(plain))
+    # each chunk between head and tail is a block of RUS_CHUNK trials (the last
+    # block fewer) as they stand in the file, each trial's lines indented by 4
+    # and after the separator from the one before it
     trials = [
         json.dumps(t, indent=2, sort_keys=True).replace("\n", "\n    ")
-        for t in _rus_plain(_RUS_SUMMARY, results)["trials"]
+        for t in plain["trials"]
     ]
-    assert [len(c) for c in chunks[1:-1]] == [len(t) + 6 * (i > 0) for i, t in enumerate(trials)]
+    blocks = [
+        "".join(",\n    " + t for t in trials[k : k + cli.RUS_CHUNK])[k == 0 :]
+        for k in range(0, len(trials), cli.RUS_CHUNK)
+    ]
+    assert [_sha(c) for c in chunks[1:-1]] == [_sha(b) for b in blocks]
     assert max(len(chunks[0]), len(chunks[-1])) < min(map(len, trials))
 
 
@@ -758,7 +781,8 @@ def test_csv_chunks_are_lazy_and_at_most_one_block_long():
     assert len(read) == cli.CSV_BLOCK  # the rest is not read yet
     rest = list(chunks)
     assert [c.count("\n") for c in (first, *rest)] == [cli.CSV_BLOCK] * 2 + [5]
-    assert "t,third,even\n" + first + "".join(rest) == cli._csv_text(header, list(rows()))
+    lines = [",".join(map(csv_cell, row)) for row in rows()]
+    assert first + "".join(rest) == "\n".join(lines) + "\n"
     assert list(cli._csv_chunks(header, iter(()))) == ["t,third,even\n"]
 
 
@@ -937,20 +961,25 @@ def test_egg_rus_digests(capsys, tmp_path, argv):
 
 
 def _egg_rus_failing_in_the_write(capsys, monkeypatch, out_dir: Path, trials: int) -> None:
-    # the last trial's NaN phase is met only while the log is being written
+    # a NaN phase for the pair (1, 1), whose code only the last trial holds, is
+    # met only while the log is being written, at that trial
     calls = []
 
-    def last_is_nan(alpha, rng, max_attempts):
+    def last_holds_code_3(alpha, rng, max_attempts):
         result = run_rus(alpha, rng, max_attempts)
         calls.append(result)
-        if len(calls) < trials:
-            return result
-        bad = dataclasses.replace(result.log[-1], combined_phase=float("nan"))
-        return dataclasses.replace(result, log=(*result.log[:-1], bad))
+        if len(calls) < trials:  # (1, 1) -> (0, 0): still a failed attempt
+            return result._replace(codes=result.codes.replace(b"\x03", b"\x00"))
+        return RusResult(result.attempts + 1, result.success, b"\x03" + result.codes)
 
-    run_rus = cli.run_rus
+    def nan_for_code_3(alpha):
+        beta, probs, phases = setup(alpha)
+        return beta, probs, (*phases[:3], float("nan"))
+
+    run_rus, setup = cli.run_rus, cli._rus_setup
     with monkeypatch.context() as patch:
-        patch.setattr(cli, "run_rus", last_is_nan)
+        patch.setattr(cli, "run_rus", last_holds_code_3)
+        patch.setattr(cli, "_rus_setup", nan_for_code_3)
         argv = ("egg-rus", "--trials", str(trials), "--out-dir", str(out_dir))
         code, out, err = run(capsys, *argv)
     assert (code, out, len(calls)) == (3, "", trials)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import itertools
 
 import numpy as np
@@ -12,7 +13,7 @@ from adqcsim import egg
 from adqcsim.egg import (
     BALANCE_TOL,
     RUS_BLOCK,
-    AttemptRecord,
+    EggError,
     NoRoot,
     RusResult,
     analytic_overlaps,
@@ -21,10 +22,10 @@ from adqcsim.egg import (
     outcome_probabilities,
     phi_scan,
     run_rus,
+    rus_phases,
     success_probability,
 )
 from adqcsim.qmath import (
-    ImpossibleBranchError,
     basis_state,
     bloch_to_state,
     computational_basis,
@@ -526,36 +527,49 @@ def test_find_balanced_beta_no_root_on_truncated_interval():
 
 
 def test_run_rus_log_structure():
+    phases = rus_phases(ALPHA)
+    beta = find_balanced_beta(ALPHA)
+    phase = egg._outcome_phases(ALPHA, beta)[:2]
+    for m1, m2 in itertools.product((0, 1), repeat=2):
+        assert phases[2 * m1 + m2] == wrap_angle(phase[m1] - phase[m2])
     rng = derive_rng(101, 0)
     for _ in range(200):
         res = run_rus(ALPHA, rng)
         assert res.success
-        assert res.attempts == len(res.log)
-        for rec in res.log[:-1]:
-            assert not rec.success
-            assert rec.outcome_first == rec.outcome_second
-            assert abs(rec.combined_phase) < 1e-9
-        last = res.log[-1]
-        assert last.success
-        assert last.outcome_first != last.outcome_second
-        assert abs(abs(last.combined_phase) - np.pi) < 1e-6
+        assert res.attempts == len(res.codes)
+        for code in res.codes[:-1]:  # equal outcomes, undone
+            assert code in (0, 3)
+            assert abs(phases[code]) < 1e-9
+        assert res.codes[-1] in (1, 2)  # unequal outcomes: a CZ up to locals
+        assert abs(abs(phases[res.codes[-1]]) - np.pi) < 1e-6
     # the same stream gives the same result
     assert run_rus(ALPHA, derive_rng(101, 1)) == run_rus(ALPHA, derive_rng(101, 1))
 
 
+def test_rus_result_holds_no_per_attempt_objects():
+    # an int, a bool and a bytes, in a tuple with no __dict__: one object per
+    # run for the cyclic garbage collector to visit, and nothing inside it
+    res = run_rus(ALPHA, derive_rng(103, 0))
+    assert [type(v) for v in res] == [int, bool, bytes]
+    assert (res.attempts, res.success, res.codes) == tuple(res)
+    assert not hasattr(res, "__dict__")
+    exhausted = run_rus(1e-3, derive_rng(103, 0), 3)
+    assert exhausted == RusResult(3, False, exhausted.codes) and len(exhausted.codes) == 3
+    for r in (res, exhausted):
+        assert not any(map(gc.is_tracked, r))
+
+
 def _reference_rus(alpha, rng, max_attempts=1000):
     """run_rus as one sample_outcome call per round: the loop the blocked kernel replaced."""
-    beta, probs, _, _ = egg._rus_setup(alpha)
-    phase = egg._outcome_phases(alpha, beta)[:2]
-    log = []
+    _, probs, _ = egg._rus_setup(alpha)
+    codes = b""
     for attempt in range(1, max_attempts + 1):
         m1 = sample_outcome(*probs, rng)
         m2 = sample_outcome(*probs, rng)
-        success = m1 != m2
-        log.append(AttemptRecord(attempt, m1, m2, success, wrap_angle(phase[m1] - phase[m2])))
-        if success:
-            return RusResult(attempt, True, tuple(log))
-    return RusResult(max_attempts, False, tuple(log))
+        codes += bytes([2 * m1 + m2])
+        if m1 != m2:
+            return RusResult(attempt, True, codes)
+    return RusResult(max_attempts, False, codes)
 
 
 @settings(max_examples=150, deadline=None)
@@ -570,34 +584,25 @@ def _reference_rus(alpha, rng, max_attempts=1000):
 def test_blocked_rus_matches_the_reference_loop(alpha, seed, t, max_attempts):
     got = run_rus(alpha, derive_rng(seed, t), max_attempts)
     assert got == _reference_rus(alpha, derive_rng(seed, t), max_attempts)
-    # equal records are one shared object, taken from the set-up's table
-    records = egg._rus_setup(alpha)[3]
-    for rec in got.log:
-        code = 2 * rec.outcome_first + rec.outcome_second
-        assert rec is records[4 * (rec.attempt - 1) + code]
+    assert type(got.codes) is bytes
 
 
 def test_blocked_rus_covers_exhausted_runs():
     # at alpha 1e-3 an attempt succeeds with probability about 4e-6
     for max_attempts in (1, RUS_BLOCK, 2 * RUS_BLOCK + 1):
         got = run_rus(1e-3, derive_rng(5, 0), max_attempts)
-        assert not got.success and got.attempts == len(got.log) == max_attempts
+        assert not got.success and got.attempts == len(got.codes) == max_attempts
+        assert set(got.codes) <= {0, 3}
         assert got == _reference_rus(1e-3, derive_rng(5, 0), max_attempts)
 
 
-def test_rus_impossible_branch_raises_on_both_paths(monkeypatch):
-    beta, _, phases, records = egg._rus_setup(ALPHA)
-    # outcome 1 has weight 0 but is drawn half the time
-    monkeypatch.setattr(egg, "_rus_setup", lambda alpha: (beta, (0.5, 0.0), phases, records))
-    for rus in (run_rus, _reference_rus):
-        for t in range(5):
-            with pytest.raises(ImpossibleBranchError):
-                rus(ALPHA, derive_rng(9, t))
-    # outcome 1 has weight 0 and is never drawn: every attempt fails, no error
-    monkeypatch.setattr(egg, "_rus_setup", lambda alpha: (beta, (1.0, 0.0), phases, records))
-    got = run_rus(ALPHA, derive_rng(9, 0), 2 * RUS_BLOCK + 1)
-    assert got == _reference_rus(ALPHA, derive_rng(9, 0), 2 * RUS_BLOCK + 1)
-    assert not got.success
+def test_rus_impossible_branch_raises_on_both_paths():
+    # p- is about 2 alpha^2: exactly 0 at 1e-9 and below BRANCH_TOL at 5e-8, so
+    # no attempt could succeed; the set-up both paths share refuses the alpha
+    for alpha in (1e-9, 5e-8):
+        for rus in (run_rus, _reference_rus):
+            with pytest.raises(EggError, match="BRANCH_TOL"):
+                rus(alpha, derive_rng(9, 0))
 
 
 def test_run_rus_rejects_bad_alpha():
@@ -622,10 +627,10 @@ def test_run_rus_success_rate():
     # the first n attempts of run_rus over per-trial streams, as egg-rus runs it
     beta_star = find_balanced_beta(ALPHA)
     n = 5000
-    logs = (run_rus(ALPHA, derive_rng(7, t)).log for t in itertools.count())
-    attempts = list(itertools.islice(itertools.chain.from_iterable(logs), n))
+    codes = (run_rus(ALPHA, derive_rng(7, t)).codes for t in itertools.count())
+    attempts = list(itertools.islice(itertools.chain.from_iterable(codes), n))
     p = success_probability(ALPHA, beta_star)
-    freq = np.mean([rec.success for rec in attempts])
+    freq = np.mean([code in (1, 2) for code in attempts])
     sigma = np.sqrt(p * (1 - p) / n)
     assert abs(freq - p) < 4 * sigma
 
@@ -660,7 +665,7 @@ def test_run_rus_attempts_follow_their_law(max_attempts, seed, shifts, pair_shif
         alt = np.add.reduceat(rus_attempts_law(p_s * (1 + shift), max_attempts), starts)
         assert chi_square_power(law, alt, n, level) >= 0.9
 
-    firsts = [r.log[-1].outcome_first for r in runs if r.success]  # 0 for the pair (0, 1)
+    firsts = [r.codes[-1] >> 1 for r in runs if r.success]  # 0 for the pair (0, 1)
     m = len(firsts)
     assert stats.binomtest(firsts.count(0), m, 0.5).pvalue > level
     lo = stats.binom.ppf(level / 2, m, 0.5) - 1  # rejected: at most lo of either pair
