@@ -35,6 +35,7 @@ import contextlib
 import functools
 import itertools
 import json
+import operator
 import os
 import re
 import sys
@@ -127,12 +128,15 @@ def _rus_chunks(summary: dict, trials, phases) -> Iterator[str]:
 
     The head, then ``RUS_CHUNK`` trials a chunk, then the tail.  Attempt k with
     pair code c = 2 m1 + m2 logs k, ``phases[c]``, m1, m2 and whether they
-    differ.  Each code's entry, and each distinct result's text up to its
-    trial number, is made once per call, when first written.
+    differ.  A code's entry is made when a block first holds the code, and
+    attempt k's texts, one per code seen so far, when a block first reaches
+    k: at most four per attempt number are kept, and a trial's text lives
+    only in its chunk.
     """
     head, tail = _json_text({**summary, "trials": [None]}).rsplit("\n    null", 1)
-    trial = (',\n    {\n      "attempts": %d,\n      "log": [\n        %s\n      ],'
-             '\n      "success": %s,\n      "trial": ')
+    opening = ',\n    {\n      "attempts": %d,\n      "log": [\n        '
+    closing = '\n      ],\n      "success": %s,\n      "trial": %d\n    }'
+    separator = ("", ",\n        ")  # before attempt 1, before every later one
 
     @functools.cache
     def entry(c: int) -> str:  # with %d for the attempt number
@@ -141,16 +145,23 @@ def _rus_chunks(summary: dict, trials, phases) -> Iterator[str]:
                   "success": m1 != m2}
         return ('{\n  "attempt": %d,' + _json_text(fields)[1:-1]).replace("\n", "\n" + " " * 8)
 
-    @functools.cache
-    def text(r) -> str:
-        log = ",\n        ".join([entry(c) % k for k, c in enumerate(r.codes, 1)])
-        return trial % (r.attempts, log, ("false", "true")[r.success])
+    seen: set[int] = set()
+    rows: list[tuple] = []  # rows[k - 1][c]: attempt k's text, for each code in seen
 
     yield head
     trials = enumerate(trials)
     while block := list(itertools.islice(trials, RUS_CHUNK)):
-        parts = [s for t, r in block for s in (text(r), "%d\n    }" % t)]
-        parts[0] = parts[0][block[0][0] == 0 :]  # no "," before the first trial
+        if not seen.issuperset(codes := b"".join([r.codes for _, r in block])):
+            seen.update(codes)
+            rows.clear()  # made again with the new codes' entries
+        rows += [tuple(separator[k > 1] + entry(c) % k if c in seen else None for c in range(4))
+                 for k in range(len(rows) + 1, max(len(r.codes) for _, r in block) + 1)]
+        parts = []
+        for t, r in block:
+            parts.append(opening % r.attempts)
+            parts += map(operator.getitem, rows, r.codes)
+            parts.append(closing % (("false", "true")[r.success], t))
+        parts[0] = parts[0][block[0][0] == 0 :]  # no "," before trial 0
         yield "".join(parts)
     yield tail
 

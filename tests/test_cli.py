@@ -13,6 +13,7 @@ import tracemalloc
 import warnings
 from collections.abc import Iterator
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -693,10 +694,12 @@ def _rus_plain(summary: dict, trials, phases) -> dict:
     st.booleans(),
     st.tuples(_PHASES, _PHASES, _PHASES, _PHASES),
     _rus_runs(),
+    st.sampled_from([1, 2, 3, cli.RUS_CHUNK]),  # trials a chunk: codes first seen in a later one
 )
-def test_rus_chunks_are_the_stdlib_indented_dump(summary, all_succeeded, phases, trials):
+def test_rus_chunks_are_the_stdlib_indented_dump(summary, all_succeeded, phases, trials, chunk):
     summary["all_succeeded"] = all_succeeded
-    text = "".join(cli._rus_chunks(summary, trials, phases))
+    with mock.patch.object(cli, "RUS_CHUNK", chunk):
+        text = "".join(cli._rus_chunks(summary, trials, phases))
     assert text == _stdlib_json(_rus_plain(summary, trials, phases))
 
 
@@ -737,6 +740,20 @@ def test_rus_chunks_are_lazy_and_at_most_one_block_long():
     ]
     assert [_sha(c) for c in chunks[1:-1]] == [_sha(b) for b in blocks]
     assert max(len(chunks[0]), len(chunks[-1])) < min(map(len, trials))
+
+
+def test_rus_chunks_memory_is_one_block_s_when_no_run_repeats():
+    # 640 exhausted runs of 100 random 0/3 codes, all distinct: the whole log
+    # is ten blocks long, and encoding it holds only about one block's text
+    codes = np.random.default_rng(0).choice(np.array([0, 3], np.uint8), (10 * cli.RUS_CHUNK, 100))
+    runs = [_rus_result(row.tobytes()) for row in codes]
+    assert len({r.codes for r in runs}) == len(runs)
+    sizes = []
+    peak = _traced_peak(
+        lambda: sizes.extend(map(len, cli._rus_chunks(_RUS_SUMMARY, runs, egg.rus_phases(0.1))))
+    )
+    assert sum(sizes) > 9 * max(sizes)
+    assert peak < 4 * max(sizes), (peak, max(sizes))
 
 
 @pytest.mark.parametrize(
