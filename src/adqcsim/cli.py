@@ -466,21 +466,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("ax", type=float)
     p.add_argument("ay", type=float)
     p.add_argument("az", type=float)
-    p.add_argument(
-        "--tol",
-        type=float,
-        default=CLI_CLASS_TOL,
-        help="tolerance for zero/special-class tests on typed-in decimals",
-    )
+    p.add_argument("--tol", type=float, default=CLI_CLASS_TOL,
+                   help="tolerance for zero/special-class tests on typed-in decimals")
     common(p, seed=False, fmt=False)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("kraus", help="measurement-induced register operators")
-    p.add_argument(
-        "--preset",
-        choices=tuple(KRAUS_IGNORED),
-        default="none",
-    )
+    p.add_argument("--preset", choices=tuple(KRAUS_IGNORED), default="none")
     p.add_argument("--params", type=float, nargs=3, default=KRAUS_DEFAULTS["params"],
                    metavar=("AX", "AY", "AZ"))
     p.add_argument("--ancilla", type=float, nargs=2, default=KRAUS_DEFAULTS["ancilla"],
@@ -538,9 +530,7 @@ def main(argv: list[str] | None = None) -> int:
         if files:
             _write_outputs(args, files)
     except (EggError, NoHits, EncodingError) as exc:
-        sys.stderr.write(
-            _json_text({"error": type(exc).__name__, "message": str(exc)})
-        )
+        sys.stderr.write(_json_text({"error": type(exc).__name__, "message": str(exc)}))
         return EXIT_NUMERIC
     except ValueError as exc:
         sys.stderr.write(_json_text({"error": "ArgumentError", "message": str(exc)}))
