@@ -31,8 +31,9 @@ once (p0_k = 1 - p1_k, exact, is redone per read), and the results chains
 share: the label-0 one, with a read-only post state, once a chain reads n
 zeros, and the label-1 one of each click round up to 4096, with one
 read-only |1>, kept once its impossible-branch check, which depends only on
-the plan and the round, has passed.  Round 1's zero check also runs once per
-plan, and an impossible branch raises on every call.
+the plan and the round, has passed.  A plan decides when it is built
+whether round 1's 0 can be taken (p0_0 >= BRANCH_TOL; p0_k grows with k, so
+every later 0 can be too), and an impossible branch raises on every call.
 :func:`measurement_ensemble` runs trial t as one :func:`run_measurement` call
 on the stream ``derive_rng(seed, t)``.
 """
@@ -45,10 +46,12 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .qmath import (
+    BRANCH_TOL,
     as_state,
     as_unitary,  # unused; kept as a binding bench/tracing.py wraps
     basis_state,
     c_rz,
+    check_branch,
     hadamard,
     sample_outcome,
     tensor,
@@ -91,17 +94,14 @@ def required_steps(theta: float, epsilon: float) -> int:
 
 
 def weak_step(
-    register: np.ndarray,
-    theta: float,
-    rng: np.random.Generator | None = None,
-    forced: int | None = None,
+    register: np.ndarray, theta: float, rng: np.random.Generator
 ) -> tuple[int, np.ndarray, float]:
     """One ancilla round: sample the outcome and update the register.
 
     Outcome 0 leaves alpha|0> + beta cos(theta/2)|1> (renormalised) with
     probability |alpha|^2 + |beta|^2 cos^2(theta/2); outcome 1 occurs with
     probability |beta|^2 sin^2(theta/2) and leaves exactly |1>.  The
-    outcome is drawn, or forced, by :func:`~adqcsim.qmath.sample_outcome`.
+    outcome is drawn by :func:`~adqcsim.qmath.sample_outcome`.
     """
     psi = as_state(register)
     if psi.size != 2:
@@ -109,7 +109,7 @@ def weak_step(
     half = theta / 2
     p1 = float(abs(psi[1]) ** 2 * np.sin(half) ** 2)
     p0 = 1.0 - p1
-    if sample_outcome(p0, p1, rng, forced):
+    if sample_outcome(p0, p1, rng):
         return 1, basis_state(1), p1
     post = np.array([psi[0], psi[1] * np.cos(half)])
     return 0, post / np.linalg.norm(post), p0
@@ -153,7 +153,7 @@ class _Plan:
         self.kept: dict[int, np.ndarray] = {}  # p1 by block start
         self.first = self.block(0)
         self.ones: dict[int, MeasureResult] = {}  # checked label-1 results by k, round k + 1
-        self.zero_checked = False
+        self.zero_ok = bool(self.first[0][0] >= BRANCH_TOL)  # round 1's 0 is the least likely
 
     def block(self, start: int) -> tuple[np.ndarray, np.ndarray]:
         """Read-only p0_k and p1_k for rounds k = start .. start + m - 1."""
@@ -183,18 +183,19 @@ def run_measurement(
 
     Draw k of a block (module docstring) decides round k + 1 against p0_k by
     the rule of :func:`~adqcsim.qmath.sample_outcome`, as :func:`weak_step`
-    calls on the same stream would, and an impossible branch still raises.
+    calls on the same stream would; an impossible round-1 zero or click
+    raises, through :func:`~adqcsim.qmath.check_branch`, on every call and
+    before any result is built or kept.
     """
     plan = _Plan(np.asarray(register, dtype=complex).tobytes(), cfg.theta, cfg.n_steps)
     for start in range(0, plan.n, _BLOCK):
         p0, p1 = plan.block(start) if start else plan.first
         hits = rng.random(p0.size) >= p0
-        if not (start or hits[0] or plan.zero_checked):  # p0_k grows with k: round 1
-            sample_outcome(p0[0], p1[0], forced=0)  # is the lightest 0 taken; checked once
-            plan.zero_checked = True
+        if not (start or hits[0] or plan.zero_ok):
+            check_branch(0, p0[0])  # raises: the plan refused round 1's 0
         if hits[k := int(hits.argmax())]:  # k is the first click, if there is one
             if (res := plan.ones.get(start + k)) is None:
-                sample_outcome(p0[k], p1[k], forced=1)
+                check_branch(1, p1[k])
                 res = MeasureResult(1, start + k + 1, _ONE, 0.0)
                 if not start:  # kept once checked: at most min(n, _BLOCK) results
                     plan.ones[k] = res

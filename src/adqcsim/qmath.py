@@ -185,32 +185,22 @@ def phase_aligned_max_diff(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.max(np.abs(u - phase * v)))
 
 
-def sample_outcome(
-    p0: float,
-    p1: float,
-    rng: np.random.Generator | None = None,
-    forced: int | None = None,
-) -> int:
+def check_branch(outcome: int, weight: float) -> int:
+    """Return ``outcome``; raise :class:`ImpossibleBranchError` if ``weight`` < ``BRANCH_TOL``."""
+    if weight < BRANCH_TOL:
+        raise ImpossibleBranchError(f"branch {outcome} has probability {weight:.3e}")
+    return outcome
+
+
+def sample_outcome(p0: float, p1: float, rng: np.random.Generator) -> int:
     """Draw a binary measurement outcome from its branch weights ``p0``, ``p1``.
 
     This is the one outcome rule of the package: each binary outcome costs
     exactly one ``rng.random()`` draw, and the outcome is 0 iff that draw is
-    below ``p0``.  Passing ``forced`` (0 or 1) selects the branch without a
-    draw.  Taking a branch whose weight is below ``BRANCH_TOL``, whether
-    sampled or forced, raises :class:`ImpossibleBranchError`.
+    below ``p0``.  A drawn branch below ``BRANCH_TOL`` raises, by :func:`check_branch`.
     """
-    if forced is None:
-        if rng is None:
-            raise ValueError("either rng or forced must be given")
-        outcome = 0 if rng.random() < p0 else 1
-    elif forced in (0, 1):
-        outcome = int(forced)
-    else:
-        raise ValueError("forced outcome must be 0 or 1")
-    weight = p1 if outcome else p0
-    if weight < BRANCH_TOL:
-        raise ImpossibleBranchError(f"branch {outcome} has probability {weight:.3e}")
-    return outcome
+    outcome = 0 if rng.random() < p0 else 1
+    return check_branch(outcome, p1 if outcome else p0)
 
 
 @dataclass(frozen=True)

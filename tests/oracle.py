@@ -28,6 +28,7 @@ from adqcsim.qmath import (
     as_state,
     as_unitary,
     bloch_to_state,
+    check_branch,
     plus_state,
     rx,
     rz,
@@ -115,8 +116,10 @@ def measure_qubit(
 
     Returns ``(outcome, probability, post_state)`` where the post state no
     longer contains the measured qubit (for a single-qubit input the
-    collapsed basis state is returned instead).  The outcome is drawn, or
-    forced, by :func:`~adqcsim.qmath.sample_outcome`.
+    collapsed basis state is returned instead).  The outcome is drawn by
+    :func:`~adqcsim.qmath.sample_outcome`, or ``forced`` (0 or 1) picks the
+    branch, which must still pass :func:`~adqcsim.qmath.check_branch`: the
+    circuit oracles need every branch.
     """
     state = as_state(state)
     n = num_qubits(state)
@@ -126,7 +129,10 @@ def measure_qubit(
     psi = np.moveaxis(state.reshape([2] * n), qubit, 0).reshape(2, -1)
     branches = [m0.conj() @ psi, m1.conj() @ psi]
     probs = [float(np.vdot(b, b).real) for b in branches]
-    outcome = sample_outcome(*probs, rng, forced)
+    if forced is None:
+        outcome = sample_outcome(*probs, rng)
+    else:
+        outcome = check_branch(forced, probs[forced])
     p = probs[outcome]
     if n == 1:
         post = (m0, m1)[outcome].copy()

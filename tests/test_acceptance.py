@@ -52,9 +52,13 @@ from adqcsim.sqwalk import (
 
 from oracle import (
     apply,
+    ball_measure,
+    chain_round_law,
     constrained_distance,
     coplanarity_distance,
+    fold_tail,
     measure_qubit,
+    rus_attempts_law,
     spherical_point,
     vertical_plane_check,
 )
@@ -65,7 +69,7 @@ SEED = 20240901
 
 def _report(number: int, name: str, ok: bool, detail: str) -> None:
     status = "PASS" if ok else "FAIL"
-    print(f"acceptance {number}/7 ({name}): {status} - {detail}")
+    print(f"acceptance {number}/10 ({name}): {status} - {detail}")
     # the same line as one JSON object, for tools that collect the report
     record = {"acceptance": number, "name": name, "status": status, "detail": detail}
     print(json.dumps(record))
@@ -349,3 +353,69 @@ def test_deterministic_programming():
             f"gate pair deviations={d0:.2e}/{d1:.2e}")
     assert words_ok
     assert pair_ok
+
+
+# The three laws below are the whole-histogram tests of test_egg.py,
+# test_measure.py and test_sqwalk.py at their sizes and seeds; each chi-square
+# or binomial test rejects a correct ensemble with probability 1e-3.
+LAW_LEVEL = 1e-3
+
+
+def test_rus_attempts_law():
+    t0 = time.perf_counter()
+    n, max_attempts = 20000, 1000
+    s2 = np.sin(2 * ALPHA) ** 2
+    p_s = s2 / (1 + s2)
+    runs = [run_rus(ALPHA, derive_rng(11, t), max_attempts) for t in range(n)]
+    full = rus_attempts_law(p_s, max_attempts)
+    starts = fold_tail(full, n)
+    counts = np.bincount([r.attempts for r in runs], minlength=max_attempts + 1)[1:]
+    chi = stats.chisquare(np.add.reduceat(counts, starts), n * np.add.reduceat(full, starts))
+    firsts = [r.codes[-1] >> 1 for r in runs if r.success]  # 0 for the pair (0, 1)
+    pair = stats.binomtest(firsts.count(0), len(firsts), 0.5)
+    elapsed = time.perf_counter() - t0
+    ok = chi.pvalue > LAW_LEVEL and pair.pvalue > LAW_LEVEL
+    _report(8, "repeat-until-success attempts law", ok,
+            f"{n} runs at alpha=pi/16, chi2 p={chi.pvalue:.3f} over {len(starts)} bins, "
+            f"deciding pair (0,1) share={firsts.count(0) / len(firsts):.4f} "
+            f"(binomial p={pair.pvalue:.3f}), {elapsed:.2f}s")
+    assert chi.pvalue > LAW_LEVEL
+    assert pair.pvalue > LAW_LEVEL
+
+
+def test_weak_chain_round_law():
+    t0 = time.perf_counter()
+    trials = 20000
+    cfg = MeasureConfig(theta=np.pi / 4, epsilon=0.05)
+    n = cfg.n_steps
+    full = chain_round_law(0.5, 0.5, cfg.theta, n)  # |+>
+    starts = np.append(fold_tail(full[:n], trials), n)  # label 0 is a bin of its own
+    results = measurement_ensemble(plus_state(), cfg, 62, trials)
+    # label 1 at round k is entry k - 1, label 0 (n rounds) entry n
+    counts = np.bincount([r.steps_used - r.label for r in results], minlength=n + 1)
+    chi = stats.chisquare(np.add.reduceat(counts, starts), trials * np.add.reduceat(full, starts))
+    elapsed = time.perf_counter() - t0
+    ok = n == 38 and chi.pvalue > LAW_LEVEL
+    _report(9, "weak-chain round law", ok,
+            f"{trials} chains at theta=pi/4 (n={n}) on |+>, label-0 share="
+            f"{counts[n] / trials:.4f} vs {full[n]:.4f}, chi2 p={chi.pvalue:.3f} over "
+            f"{len(starts)} bins, {elapsed:.2f}s")
+    assert n == 38
+    assert chi.pvalue > LAW_LEVEL
+
+
+def test_walk_tail_ball_measure():
+    # the hitting tail (mean excess over the median) of an equidistributing
+    # walk is 1 / mu for a target ball of Haar measure mu (Kac's lemma)
+    t0 = time.perf_counter()
+    eps = 0.1
+    cfg = walk_config("two-param", epsilon=eps)
+    steps = np.array([r.steps for r in run_ensemble(cfg, 11, 3000)])
+    median = np.median(steps)
+    ratio = np.mean(steps[steps > median] - median) * ball_measure(eps)
+    elapsed = time.perf_counter() - t0
+    ok = abs(ratio - 1) < 0.13
+    _report(10, "walk tail x ball measure", ok,
+            f"two-param, eps={eps}, 3000 walks: tail*mu={ratio:.4f} (band 1 +/- 0.13), "
+            f"{elapsed:.2f}s")
+    assert abs(ratio - 1) < 0.13

@@ -23,26 +23,46 @@ from adqcsim.measure import (
     weak_step,
 )
 from adqcsim.qmath import (
+    BRANCH_TOL,
     ImpossibleBranchError,
     basis_state,
     bloch_to_state,
+    check_branch,
     computational_basis,
     hadamard,
     haar_state,
+    phase_aligned_max_diff,
     plus_state,
-    sample_outcome,
+    tensor,
 )
 from adqcsim.seeding import derive_rng
 
 from oracle import (
+    apply,
     chain_round_law,
     chi_square_power,
     fold_tail,
+    measure_qubit,
     seed_sequence_rng,
     step_operators,
 )
 
 THETA = np.pi / 4
+ZERO, ONE = 0.0, np.nextafter(1.0, 0.0)  # draws that read 0, and 1, on any possible branch
+
+
+class _Draws:
+    """A generator stand-in that serves fixed uniforms, singly or as an array."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self, size=None):
+        if size is None:
+            return self.values.pop(0)
+        out, self.values = np.array(self.values[:size]), self.values[size:]
+        return out
+
 
 
 def test_required_steps_reference_values():
@@ -99,35 +119,45 @@ def test_kraus_pipeline_matches_step_operators():
         assert not ops[1].proportional_unitary
 
 
+def test_weak_step_is_the_circuit_round():
+    # the round on the statevector: weak_interaction(theta) on a |+> ancilla
+    # (factor 0) and the register, the ancilla read in the computational
+    # basis, then H on the register; the same stub draw drives both sides
+    rng = np.random.default_rng(66)
+    for theta in (0.2, THETA, np.pi / 2, 2.5):
+        for _ in range(10):
+            psi = haar_state(rng, 1)
+            joint = apply(weak_interaction(theta), tensor(plus_state(), psi), (0, 1))
+            for draw, want in ((ZERO, 0), (ONE, 1)):
+                outcome, p, post = measure_qubit(joint, 0, computational_basis(), _Draws([draw]))
+                got = weak_step(psi, theta, _Draws([draw]))
+                assert outcome == got[0] == want
+                assert abs(p - got[2]) < 1e-12
+                assert phase_aligned_max_diff(hadamard() @ post, got[1]) < 1e-12
+
+
 def test_weak_step_probabilities_and_posts():
     theta = np.pi / 2
-    outcome, post, p = weak_step(plus_state(), theta, forced=1)
+    outcome, post, p = weak_step(plus_state(), theta, _Draws([ONE]))
     assert outcome == 1
     assert abs(p - 0.25) < 1e-12
     np.testing.assert_array_equal(post, basis_state(1))
 
-    outcome, post, p = weak_step(plus_state(), theta, forced=0)
+    outcome, post, p = weak_step(plus_state(), theta, _Draws([ZERO]))
     assert outcome == 0
     assert abs(p - 0.75) < 1e-12
     c = np.cos(theta / 2)
     expected = np.array([1, c]) / np.sqrt(1 + c**2)
     np.testing.assert_allclose(post, expected, atol=1e-12)
 
-    with pytest.raises(ValueError):
-        weak_step(plus_state(), theta)  # no rng and no forced outcome
-    with pytest.raises(ImpossibleBranchError):
-        weak_step(basis_state(1), np.pi, forced=0)  # zero-probability branch
-    with pytest.raises(ImpossibleBranchError):
-        weak_step(basis_state(0), np.pi / 4, forced=1)  # zero-probability branch
-    with pytest.raises(ValueError, match="forced outcome must be 0 or 1"):
-        weak_step(plus_state(), np.pi / 4, forced=2)
-
 
 def test_weak_step_projective_limit():
-    outcome, post, p = weak_step(plus_state(), np.pi, forced=0)
+    outcome, post, p = weak_step(plus_state(), np.pi, _Draws([ZERO]))
+    assert outcome == 0
     np.testing.assert_allclose(post, basis_state(0), atol=1e-12)
     assert abs(p - 0.5) < 1e-12
-    outcome, post, p = weak_step(plus_state(), np.pi, forced=1)
+    outcome, post, p = weak_step(plus_state(), np.pi, _Draws([ONE]))
+    assert outcome == 1
     np.testing.assert_array_equal(post, basis_state(1))
     assert abs(p - 0.5) < 1e-12
 
@@ -142,7 +172,7 @@ def test_zero_amplitude_input_never_clicks():
 
 
 def test_chain_closed_form():
-    # k forced-0 rounds leave alpha|0> + beta cos^k |1> with cumulative
+    # k rounds that read 0 leave alpha|0> + beta cos^k |1> with cumulative
     # probability |alpha|^2 + |beta|^2 cos^{2k}
     rng = np.random.default_rng(56)
     c = np.cos(THETA / 2)
@@ -151,7 +181,8 @@ def test_chain_closed_form():
         state = psi
         cumulative = 1.0
         for k in range(1, 65):
-            _, state, p = weak_step(state, THETA, forced=0)
+            outcome, state, p = weak_step(state, THETA, _Draws([ZERO]))
+            assert outcome == 0
             cumulative *= p
             expected = np.array([psi[0], psi[1] * c**k])
             nrm = np.linalg.norm(expected)
@@ -204,19 +235,6 @@ def test_chain_matches_stepwise_reference(register, theta, epsilon, seed):
     assume(np.cos(theta / 2) ** 2000 <= epsilon)
     cfg = MeasureConfig(theta=theta, epsilon=epsilon)
     _assert_same_chain(register, cfg, derive_rng(seed, 0), derive_rng(seed, 0))
-
-
-class _Draws:
-    """A generator stand-in that serves fixed uniforms, singly or as an array."""
-
-    def __init__(self, values):
-        self.values = list(values)
-
-    def random(self, size=None):
-        if size is None:
-            return self.values.pop(0)
-        out, self.values = np.array(self.values[:size]), self.values[size:]
-        return out
 
 
 def test_chain_refuses_impossible_branches_like_the_reference():
@@ -479,26 +497,34 @@ def _click_draws(n: int, k: int) -> _Draws:
     return _Draws([0.0] * k + [np.nextafter(1.0, 0.0)] + [0.0] * (n - k - 1))
 
 
-def test_branch_checks_run_once_per_plan_and_click_round(monkeypatch):
+def _counted_checks(monkeypatch) -> list[tuple[int, float]]:
+    """Spy on measure's check_branch: the (outcome, weight) of every call, in order."""
     checks = []
 
-    def counted(p0, p1, rng=None, forced=None):
-        checks.append((forced, p1 if forced else p0))
-        return sample_outcome(p0, p1, rng, forced)
+    def counted(outcome, weight):
+        checks.append((outcome, weight))
+        return check_branch(outcome, weight)
 
-    monkeypatch.setattr(measure, "sample_outcome", counted)
+    monkeypatch.setattr(measure, "check_branch", counted)
+    return checks
+
+
+def test_branch_checks_run_once_per_plan_and_click_round(monkeypatch):
+    checks = _counted_checks(monkeypatch)
     cfg = MeasureConfig(theta=THETA)
     measure._Plan.cache_clear()
     for register in (plus_state(), np.array([0.6, 0.8j]), plus_state()):
         results = measurement_ensemble(register, cfg, 0, 300)
         measurement_ensemble(register, cfg, 1, 300)
         assert {r.label for r in results} == {0, 1}
-    # per plan, one zero check and one check per click round seen, and no more
+    # round 1's 0 is decided when a plan is built, so no chain checks it; each
+    # plan checks each click round it sees once, and no more
     want = []
     for register in (plus_state(), np.array([0.6, 0.8j])):
         plan = measure._Plan(register.tobytes(), THETA, 38)
         p0, p1 = plan.first
-        want += [(0, p0[0])] + [(1, p1[k]) for k in plan.ones]
+        assert plan.zero_ok and p0[0] >= BRANCH_TOL
+        want += [(1, p1[k]) for k in plan.ones]
     assert len(want) > 10 and sorted(checks) == sorted(want)
 
 
@@ -522,22 +548,27 @@ def test_plan_keeps_at_most_one_block_of_clicks():
     assert again.steps_used == 4097 and again is not got[3]
 
 
-def test_impossible_branch_raises_on_every_call():
+def test_impossible_branch_raises_on_every_call(monkeypatch):
     # as in test_chain_refuses_impossible_branches_like_the_reference: round 1
-    # reads 0, then 1, at weight ~1e-15; a failed check keeps no result
+    # reads 0, then 1, at weight ~1e-15; each call refuses it through
+    # check_branch, and a refused branch builds and keeps no result
+    checks = _counted_checks(monkeypatch)
     nearly_one = np.array([np.sqrt(1e-15), np.sqrt(1 - 1e-15)])
     nearly_zero = np.array([np.sqrt(1 - 2e-15), np.sqrt(2e-15)])
     measure._Plan.cache_clear()
-    for register, theta, first in (
-        (nearly_one, np.pi, 0.0),
-        (nearly_zero, np.pi / 2, np.nextafter(1.0, 0.0)),
+    for register, theta, first, outcome, zero_ok in (
+        (nearly_one, np.pi, ZERO, 0, False),
+        (nearly_zero, np.pi / 2, ONE, 1, True),
     ):
         cfg = MeasureConfig(theta=theta, epsilon=0.05)
+        checks.clear()
         for _ in range(2):
-            with pytest.raises(ImpossibleBranchError):
+            with pytest.raises(ImpossibleBranchError, match=f"branch {outcome} has"):
                 run_measurement(register, cfg, _Draws([first] + [0.5] * (cfg.n_steps - 1)))
         plan = measure._Plan(register.astype(complex).tobytes(), theta, cfg.n_steps)
-        assert plan.ones == {} and not plan.zero_checked
+        weight = plan.first[outcome][0]
+        assert weight < BRANCH_TOL and checks == [(outcome, weight)] * 2
+        assert plan.ones == {} and plan.zero_ok is zero_ok and "zero" not in vars(plan)
 
 
 def test_long_chains_build_each_block_once(monkeypatch):

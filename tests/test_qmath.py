@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from adqcsim import qmath
 from adqcsim.qmath import (
+    BRANCH_TOL,
     ImpossibleBranchError,
     as_state,
     as_unitary,
@@ -17,6 +18,7 @@ from adqcsim.qmath import (
     bloch_to_state,
     c_phase,
     c_rz,
+    check_branch,
     cz,
     hadamard,
     haar_state,
@@ -234,8 +236,6 @@ def test_measure_branch_probabilities_and_reconstruction():
 def test_measure_forced_impossible_branch():
     with pytest.raises(ImpossibleBranchError):
         measure_qubit(basis_state(0), 0, (basis_state(0), basis_state(1)), forced=1)
-    with pytest.raises(ValueError):
-        measure_qubit(basis_state(0), 0, (basis_state(0), basis_state(1)))
 
 
 class _FixedDraw:
@@ -256,17 +256,19 @@ def test_sample_outcome_rule():
             assert sample_outcome(p0, 1.0 - p0, rng) == int(twin.random() >= p0)
     assert sample_outcome(0.3, 0.7, _FixedDraw(0.3)) == 1
     assert sample_outcome(0.3, 0.7, _FixedDraw(0.2999)) == 0
-    assert sample_outcome(0.3, 0.7, _FixedDraw(0.9), forced=0) == 0
-    # a branch below BRANCH_TOL is refused whether it is forced or sampled
-    with pytest.raises(ImpossibleBranchError):
-        sample_outcome(1.0, 0.0, forced=1)
-    with pytest.raises(ImpossibleBranchError):
+    # a drawn branch below BRANCH_TOL is refused, either outcome
+    with pytest.raises(ImpossibleBranchError, match="branch 1 has probability 1.000e-15"):
         sample_outcome(0.5, 1e-15, _FixedDraw(0.75))
-    for forced in (2, -1, 0.5):
-        with pytest.raises(ValueError, match="forced outcome must be 0 or 1"):
-            sample_outcome(0.5, 0.5, forced=forced)
-    with pytest.raises(ValueError, match="either rng or forced"):
-        sample_outcome(0.5, 0.5)
+    with pytest.raises(ImpossibleBranchError, match="branch 0 has probability 1.000e-15"):
+        sample_outcome(1e-15, 1 - 1e-15, _FixedDraw(0.0))
+
+
+def test_check_branch_refuses_below_branch_tol():
+    assert check_branch(0, BRANCH_TOL) == 0
+    assert check_branch(1, 0.7) == 1
+    for outcome, weight in ((0, 0.0), (1, 0.0), (1, np.nextafter(BRANCH_TOL, 0.0))):
+        with pytest.raises(ImpossibleBranchError, match=f"branch {outcome} has probability"):
+            check_branch(outcome, weight)
 
 
 def test_measure_requires_orthogonal_basis():
