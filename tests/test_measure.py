@@ -64,7 +64,6 @@ class _Draws:
         return out
 
 
-
 def test_required_steps_reference_values():
     assert required_steps(THETA, 0.1) == 30
     assert required_steps(THETA, 0.05) == 38
