@@ -106,7 +106,8 @@ class _Parser(argparse.ArgumentParser):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        number = r"\d*\.?\d+(e[-+]?\d+)?|inf(inity)?|nan"  # in any case, as float() reads
+        digits = r"\d(_?\d)*"  # as float() reads them, in any case: 1_0, 1., .5, 1.e-5, inf
+        number = rf"({digits}(\.({digits})?)?|\.{digits})(e[-+]?{digits})?|inf(inity)?|nan"
         self._negative_number_matcher = re.compile(rf"(?i)^-({number})$")
 
 
@@ -409,7 +410,7 @@ def _cmd_measure(args: argparse.Namespace) -> tuple[dict, str]:
     n = cfg.n_steps
     labels = np.array([r.label for r in results])
     summary = {
-        "theta": args.theta,
+        "theta": cfg.theta,
         "epsilon": args.epsilon,
         "required_steps": n,
         "interaction_cost": interaction_cost(n),
@@ -418,7 +419,7 @@ def _cmd_measure(args: argparse.Namespace) -> tuple[dict, str]:
             "0": float(np.mean(labels == 0)),
             "1": float(np.mean(labels == 1)),
         },
-        "mislabel_bound_for_one_input": float(np.cos(args.theta / 2) ** (2 * n)),
+        "mislabel_bound_for_one_input": float(np.cos(cfg.theta / 2) ** (2 * n)),
     }
     files = _tables(
         args,

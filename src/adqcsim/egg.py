@@ -20,13 +20,14 @@ phases differ by pi: beta* = arctan(sin 2 alpha) / 2, where an attempt
 succeeds with probability sin^2 2 alpha / (1 + sin^2 2 alpha) (derived at
 :func:`find_balanced_beta`, which finds beta* to within ``BALANCE_TOL``).
 
-The closed form of :func:`analytic_overlaps` is the library's one model of
-the round: the midpoint of this family's ring is |+>, and the scan, the
-balanced point and the RUS protocol all read their phases and probabilities
-from it.  The geometric derivation it is checked against (the four Bloch
-points, the ring axis as the cross-product normal of three of them, the
-midpoint basis and the register back-action, for any preparation angle)
-lives in ``tests/oracle.py``, with the three-qubit statevector circuit.
+Branch (0, 0)'s overlap formula, written once in :func:`_overlaps`, is the
+library's one model of the round (the midpoint of this family's ring is |+>):
+:func:`analytic_overlaps` builds all four branches from it, and the scan, the
+balanced point and the RUS protocol read it through :func:`_scan_columns`.
+The geometric derivation it is checked against (the four Bloch points, the
+ring axis as the cross-product normal of three of them, the midpoint basis
+and the register back-action, for any preparation angle) lives in
+``tests/oracle.py``, with the three-qubit statevector circuit.
 """
 
 from __future__ import annotations
@@ -63,11 +64,16 @@ def _check_alpha(alpha: float) -> None:
 # analytic symmetric family
 
 
+def _overlaps(a, b):
+    """Branch (0, 0)'s overlaps times sqrt(2), at A = a and B = b (arrays or floats)."""
+    return np.cos(a) - 1j * np.cos(b), -1j * np.sin(a) - np.sin(b)
+
+
 def analytic_overlaps(alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
     """Midpoint-basis overlaps <+/-|a_ij> of the symmetric family.
 
     With A = alpha + beta and B = alpha - beta, branch (i, j) substitutes
-    (A, B) -> (A, B), (-B, -A), (B, A), (-A, -B) and
+    (A, B) -> (A, B), (-B, -A), (B, A), (-A, -B) in :func:`_overlaps`,
 
         c+ = (cos A - i cos B) / sqrt(2)
         c- = (-i sin A - sin B) / sqrt(2)
@@ -76,10 +82,8 @@ def analytic_overlaps(alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray
     """
     a, b = alpha + beta, alpha - beta
     subs = np.array([[(a, b), (-b, -a)], [(b, a), (-a, -b)]])
-    aa, bb = subs[..., 0], subs[..., 1]
-    c_plus = (np.cos(aa) - 1j * np.cos(bb)) / np.sqrt(2)
-    c_minus = (-1j * np.sin(aa) - np.sin(bb)) / np.sqrt(2)
-    return c_plus, c_minus
+    c_plus, c_minus = _overlaps(subs[..., 0], subs[..., 1])
+    return c_plus / np.sqrt(2), c_minus / np.sqrt(2)
 
 
 SCAN_COLUMNS = (
@@ -91,13 +95,12 @@ def _scan_columns(alpha: float, beta: np.ndarray) -> list[np.ndarray]:
     """The :data:`SCAN_COLUMNS` after beta, over the array ``beta`` (see :func:`phi_scan`).
 
     With A = alpha + beta, B = alpha - beta and phi00+/- = arg c+/- of
-    branch (0, 0) (:func:`analytic_overlaps`): Phi+/- = 4 phi00+/- + pi
+    branch (0, 0) (:func:`_overlaps`): Phi+/- = 4 phi00+/- + pi
     wrapped, delta_phi = 4 (phi00+ - phi00-), p+ = (cos^2 A + cos^2 B) / 2.
     """
-    a, b = alpha + beta, alpha - beta
-    cos_a, cos_b = np.cos(a), np.cos(b)
-    phi00_plus = np.angle(cos_a - 1j * cos_b)
-    phi00_minus = np.angle(-1j * np.sin(a) - np.sin(b))
+    plus, minus = _overlaps(alpha + beta, alpha - beta)
+    cos_a, cos_b = plus.real, -plus.imag  # both exact: 1j * cos B is (0, cos B)
+    phi00_plus, phi00_minus = np.angle(plus), np.angle(minus)
     wrapped = (4 * np.stack([phi00_plus, phi00_minus]) + np.pi) % (2 * np.pi)
     wrapped[wrapped > np.pi] -= 2 * np.pi  # wrap_angle, elementwise
     # squares by C pow(x, 2) of Python floats, as numpy scalars take them
@@ -116,19 +119,13 @@ def outcome_probabilities(alpha: float, beta: float) -> tuple[float, float]:
     return tuple(_at(alpha, beta)[3:5])
 
 
-def _outcome_phases(alpha: float, beta: float) -> tuple[float, float, float]:
-    """Outcome phases Phi+/- = 4 phi00+/- + pi, wrapped, and :func:`delta_phi_raw`."""
-    return tuple(_at(alpha, beta)[:3])
-
-
 def delta_phi_raw(alpha: float, beta: float) -> float:
     """Continuous outcome-phase difference 4 (phi00+ - phi00-), in (0, 4 pi).
 
-    Unwrapped on purpose: the curve starts at 2 pi (equal phases mod 2 pi)
-    at beta = 0 and decreases, so the balanced condition is a plain root of
-    delta_phi_raw - pi.
+    Unwrapped on purpose: it falls from 2 pi (equal phases mod 2 pi) at beta
+    = 0, so the balanced condition is a plain root of delta_phi_raw - pi.
     """
-    return _outcome_phases(alpha, beta)[2]
+    return _at(alpha, beta)[2]
 
 
 def success_probability(alpha: float, beta: float) -> float:
@@ -157,7 +154,7 @@ def phi_scan(
     _check_alpha(alpha)  # before samples, so a bad alpha is the error reported
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if not 0.0 <= lo <= hi <= alpha + 1e-15:
+    if not 0.0 <= lo <= hi <= alpha:
         raise ValueError("beta range must satisfy 0 <= lo <= hi <= alpha")
     rows = np.recarray(samples, dtype=[(name, float) for name in SCAN_COLUMNS])
     rows.beta = np.linspace(lo, hi, samples)
@@ -170,19 +167,20 @@ def phi_scan(
 def find_balanced_beta(alpha: float, beta_max: float | None = None) -> float:
     """Root of delta_phi_raw(alpha, beta) = pi by scan plus bisection.
 
-    Scans the interval [0, beta_max] (default beta_max = alpha) with 512
-    samples for a sign change of delta_phi_raw - pi and bisects it down to
-    ``BALANCE_TOL`` in beta.  Raises NoRoot when the curve does not cross pi
-    there.
+    The curve falls from 2 pi (below), so the bracket ends at the first of the
+    ``SCAN_SAMPLES`` grid points of [0, beta_max] (default alpha) where
+    delta_phi_raw - pi <= 0, NoRoot if none; each bisection step keeps the
+    half whose upper end has that sign, down to ``BALANCE_TOL`` in beta.
 
-    The root has a closed form.  Branch (0, 0) of :func:`analytic_overlaps`
-    gives, with A = alpha + beta and B = alpha - beta,
+    The root has a closed form.  Branch (0, 0)'s overlaps (:func:`_overlaps`) give,
+    with A = alpha + beta and B = alpha - beta,
 
         2 c+ conj(c-) = (cos A - i cos B)(i sin A - sin B)
                       = sin 2 beta + i sin 2 alpha cos 2 beta,
 
-    so delta_phi_raw = 4 arg(sin 2 beta + i sin 2 alpha cos 2 beta), which
-    equals pi exactly at beta* = arctan(sin 2 alpha) / 2.  Since sin 2 alpha
+    so delta_phi_raw = 4 arg(sin 2 beta + i sin 2 alpha cos 2 beta), which is
+    2 pi at beta = 0, falls as beta grows to alpha <= pi/4 and equals pi
+    exactly at beta* = arctan(sin 2 alpha) / 2.  Since sin 2 alpha
     <= tan 2 alpha, beta* <= alpha always, and the per-attempt success
     probability there is sin^2 2 alpha / (1 + sin^2 2 alpha).  The tests
     hold the numerical root to this value.
@@ -191,36 +189,20 @@ def find_balanced_beta(alpha: float, beta_max: float | None = None) -> float:
     hi = alpha if beta_max is None else float(beta_max)
     if not 0.0 < hi <= alpha:
         raise ValueError("beta_max must lie in (0, alpha]")
-
-    def f(beta: float) -> float:
-        return delta_phi_raw(alpha, beta) - np.pi
-
     grid = np.linspace(0.0, hi, SCAN_SAMPLES)
-    vals = (_scan_columns(alpha, grid)[2] - np.pi).tolist()
-    bracket = None
-    for k in range(len(grid) - 1):
-        if vals[k] == 0.0:
-            return float(grid[k])
-        if vals[k] * vals[k + 1] < 0:
-            bracket = (grid[k], grid[k + 1])
-            break
-    if vals[-1] == 0.0:
-        return float(grid[-1])
-    if bracket is None:
-        raise NoRoot(
-            f"outcome-phase difference never crosses pi for beta in [0, {hi:.6g}]"
-        )
-    lo_b, hi_b = bracket
-    flo = f(lo_b)
+    deltas = _scan_columns(alpha, grid)[2]
+    k = int(np.argmax(deltas <= np.pi))  # the first grid point at or below pi, if any
+    if deltas[k] > np.pi:
+        raise NoRoot(f"outcome-phase difference never crosses pi for beta in [0, {hi:.6g}]")
+    # deltas[0] is 2 pi, so k >= 1; a grid point exactly at pi is the root
+    lo_b, hi_b = grid[k - 1] if deltas[k] < np.pi else grid[k], grid[k]
     while hi_b - lo_b > BALANCE_TOL:
         mid = 0.5 * (lo_b + hi_b)
-        fm = f(mid)
-        if fm == 0.0:
-            return float(mid)
-        if flo * fm < 0:
+        delta = delta_phi_raw(alpha, mid)
+        if delta <= np.pi:
             hi_b = mid
-        else:
-            lo_b, flo = mid, fm
+        if delta >= np.pi:  # both at an exact root, which ends the loop on it
+            lo_b = mid
     return float(0.5 * (lo_b + hi_b))
 
 
@@ -246,15 +228,14 @@ def _rus_setup(alpha: float) -> tuple:
     so alpha below about 7e-8): no attempt could then succeed.
     """
     beta_star = find_balanced_beta(alpha)
-    plus, minus, _ = _outcome_phases(alpha, beta_star)
+    plus, minus, _, *probs, _ = _at(alpha, beta_star)
     phases = tuple(wrap_angle(a - b) for a in (plus, minus) for b in (plus, minus))
-    probs = outcome_probabilities(alpha, beta_star)
     if min(probs) < BRANCH_TOL:
         raise EggError(
             f"at alpha {alpha:.3g} an outcome has probability {min(probs):.3e}, "
             "below BRANCH_TOL: no attempt can succeed"
         )
-    return beta_star, probs, phases
+    return beta_star, tuple(probs), phases
 
 
 def rus_phases(alpha: float) -> tuple[float, float, float, float]:

@@ -72,15 +72,19 @@ def weak_interaction(theta: float) -> np.ndarray:
     return tensor(hadamard(), hadamard()) @ c_rz(theta, control=1)
 
 
+def _clamp_theta(theta: float) -> float:
+    """theta, or pi for a value a rounding error above pi (a hand-typed decimal)."""
+    return np.pi if np.pi < theta < np.pi + 1e-6 else theta
+
+
 def required_steps(theta: float, epsilon: float) -> int:
     """Smallest n with cos^n(theta/2) <= epsilon, at least 1.
 
     theta = pi is the projective special case: one step suffices and the
-    logarithm is avoided.  Values a rounding error above pi (hand-typed
-    decimals) are clamped to pi.  A theta below about 2e-8 is rejected.
+    logarithm is avoided.  theta is read through :func:`_clamp_theta`; one
+    below about 2e-8 is rejected.
     """
-    if np.pi < theta < np.pi + 1e-6:
-        theta = np.pi
+    theta = _clamp_theta(theta)
     if not 0.0 < theta <= np.pi:
         raise ValueError("theta must lie in (0, pi]")
     if not 0.0 < epsilon < 1.0:
@@ -117,13 +121,14 @@ def weak_step(
 
 @dataclass(frozen=True)
 class MeasureConfig:
-    """Coupling and fidelity target of a chain; checked when built."""
+    """Coupling and fidelity target of a chain; checked, and theta clamped, when built."""
 
     theta: float
     epsilon: float = 0.05
 
     def __post_init__(self):
         # n_steps, the chain length, is set once here; required_steps checks the inputs
+        object.__setattr__(self, "theta", _clamp_theta(self.theta))
         object.__setattr__(self, "n_steps", required_steps(self.theta, self.epsilon))
 
 

@@ -311,6 +311,11 @@ def test_negative_numbers_in_scientific_notation(capsys, tmp_path):
     code, out, _ = run(capsys, "classify", "-1e-05", "0", "-2.5E-1")
     assert code == 0
     assert json.loads(out)["input"] == [-1e-05, 0.0, -0.25]
+    # every spelling float() reads: a trailing point, with an exponent, digit groups
+    for token, value in (("-1.", -1.0), ("-1.e-5", -1e-5), ("-1_0", -10.0)):
+        code, out, _ = run(capsys, "classify", token, "0", "0")
+        assert code == 0
+        assert json.loads(out)["input"] == [value, 0.0, 0.0]
     code, _, _ = run(
         capsys, "walk", "--target-rx", "-1e-3", "--trials", "2", "--out-dir", str(tmp_path)
     )
@@ -1094,6 +1099,23 @@ def test_measure_projective_theta_tolerance(capsys, tmp_path):
     summary = json.loads((tmp_path / "measure.json").read_text())
     assert summary["required_steps"] == 1
     assert summary["interaction_cost"] == 2
+
+
+def test_measure_hand_typed_pi_runs_at_pi(capsys, tmp_path):
+    # a theta a rounding error above pi runs the chain at pi, so no label-0
+    # chain reports the negative residual cos(theta/2) of the typed value
+    for theta in ("3.1415927", "3.141592653589793"):
+        code, _, _ = run(
+            capsys, "measure", "--theta", theta, "--state", "1.0", "0", "--trials", "6",
+            "--format", "both", "--out-dir", str(tmp_path / theta),
+        )
+        assert code == 0
+    typed, exact = (tmp_path / "3.1415927", tmp_path / "3.141592653589793")
+    for name in ("measure.csv", "measure.json"):
+        assert (typed / name).read_bytes() == (exact / name).read_bytes()
+    rows = [line.split(",") for line in (typed / "measure.csv").read_text().splitlines()[1:]]
+    assert any(r[1] == "0" for r in rows)
+    assert all(float(r[3]) >= 0.0 for r in rows)
 
 
 def test_measure_basis_states(capsys, tmp_path):

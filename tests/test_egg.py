@@ -5,7 +5,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -430,8 +430,10 @@ def test_phi_scan_endpoints():
     assert all(d1 >= d2 - 1e-12 for d1, d2 in zip(deltas, deltas[1:]))
     with pytest.raises(ValueError):
         phi_scan(ALPHA, (0.1, 0.05))
-    with pytest.raises(ValueError):
-        phi_scan(ALPHA, (0.0, 2 * ALPHA))
+    # hi may not exceed alpha even by a rounding error, as find_balanced_beta's beta_max
+    for alpha, beta_range in ((ALPHA, (0.0, 2 * ALPHA)), (0.1, (0.0, 0.10000000000000002))):
+        with pytest.raises(ValueError, match="beta range"):
+            phi_scan(alpha, beta_range)
     for alpha in (float("nan"), 1.0):
         with pytest.raises(ValueError, match="alpha must lie"):
             phi_scan(alpha)
@@ -460,7 +462,7 @@ def test_phi_scan_rows_are_the_per_point_functions(alpha, u, v, samples):
     for row in rows.tolist():
         beta = row[0]
         api = (
-            *egg._outcome_phases(alpha, beta),
+            *egg._at(alpha, beta)[:3],
             *outcome_probabilities(alpha, beta),
             success_probability(alpha, beta),
         )
@@ -513,6 +515,28 @@ def test_balanced_point_closed_forms(alpha, fraction):
     assert abs(success_probability(alpha, exact) - s2 / (1 + s2)) <= 1e-12
 
 
+_STAR = np.arctan(np.sin(2 * ALPHA)) / 2
+
+
+@settings(max_examples=300)
+@given(st.floats(0.0, np.pi / 4, exclude_min=True), st.floats(0.0, 1.0, exclude_min=True))
+@example(ALPHA, (_STAR + 2e-9) / ALPHA)  # beta* in the grid's last step
+@example(ALPHA, (_STAR - 2e-9) / ALPHA)
+def test_no_root_exactly_when_the_closed_form_is_beyond_beta_max(alpha, fraction):
+    # the curve falls monotonically, so the grid reaches pi iff beta* <= beta_max;
+    # a band of 1e-9 around that boundary is left out
+    beta_max = fraction * alpha
+    exact = np.arctan(np.sin(2 * alpha)) / 2
+    assume(beta_max > 0.0 and abs(exact - beta_max) > 1e-9)
+    if exact > beta_max:
+        with pytest.raises(NoRoot):
+            find_balanced_beta(alpha, beta_max)
+    else:
+        beta_star = find_balanced_beta(alpha, beta_max)
+        assert 0.0 < beta_star <= beta_max
+        assert abs(beta_star - exact) <= BALANCE_TOL
+
+
 def test_find_balanced_beta_no_root_on_truncated_interval():
     with pytest.raises(NoRoot):
         find_balanced_beta(ALPHA, beta_max=0.05)
@@ -529,7 +553,7 @@ def test_find_balanced_beta_no_root_on_truncated_interval():
 def test_run_rus_log_structure():
     phases = rus_phases(ALPHA)
     beta = find_balanced_beta(ALPHA)
-    phase = egg._outcome_phases(ALPHA, beta)[:2]
+    phase = egg._at(ALPHA, beta)[:2]
     for m1, m2 in itertools.product((0, 1), repeat=2):
         assert phases[2 * m1 + m2] == wrap_angle(phase[m1] - phase[m2])
     rng = derive_rng(101, 0)

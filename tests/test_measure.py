@@ -80,6 +80,9 @@ def test_required_steps_projective_and_clamp():
     assert required_steps(np.pi, 1e-20) == 1
     # a hand-typed 7-digit pi must not be rejected
     assert required_steps(3.141593, 0.05) == 1
+    # and the chain runs at the pi its length was found for, not above it
+    assert MeasureConfig(3.141593).theta == np.pi
+    assert MeasureConfig(0.999 * np.pi).theta == 0.999 * np.pi
     assert required_steps(0.999 * np.pi, 0.05) == 1
     with pytest.raises(ValueError):
         required_steps(0.0, 0.05)
